@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Full local CI: the tier-1 build + test suite, the scenario-manifest
+# Full local CI: the tier-1 build + test suite, the benchmark's
+# self-test (perfbench built against src/, so a library API change
+# that breaks the benchmark fails here), the scenario-manifest
 # smoke label, the AArch64 arch-smoke label, the benchmark regression
 # gates (hot-path, campaign service, pattern fuzzer, Table-1
 # exact-match), and the
@@ -28,6 +30,9 @@ cmake --build build -j "$jobs"
 
 step "tier-1: ctest"
 (cd build && ctest --output-on-failure -j "$jobs")
+
+step "perfbench self-test (builds perfbench against src/ into .bench_build/)"
+python3 perfbench/run.py --self-test
 
 step "scenario smoke (every checked-in manifest, 1 cell each)"
 (cd build && ctest --output-on-failure -L scenario-smoke -j "$jobs")

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "attack/result.hh"
-#include "common/rng.hh"
 #include "defense/registry.hh"
 #include "fuzz/fuzzer.hh"
 
@@ -68,13 +67,12 @@ std::optional<AttackKind> parseAttackKind(std::string_view name);
 /**
  * Machine-level context handed to every attack runner.  Most attacks
  * only need kernel + engine; the timing-aware ones additionally read
- * the machine seed, which defense they are up against (the fuzzer
- * builds private observer replicas from the registry factory), and
- * the fuzz search configuration.
+ * which defense they are up against and its knobs (the fuzzer builds
+ * private observer replicas from the registry factory), and the fuzz
+ * search configuration.
  */
 struct AttackParams
 {
-    std::uint64_t seed = seeds::kMachine;
     defense::DefenseKind defense = defense::DefenseKind::None;
     defense::DefenseParams defenseParams;
     fuzz::FuzzParams fuzz;

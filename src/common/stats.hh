@@ -1,15 +1,13 @@
 /**
  * @file
- * Lightweight statistics collection: named counters, scalar samples
- * with mean/min/max/stddev, and simple fixed-bucket histograms.  Every
- * subsystem exposes its observable behaviour through these so tests
- * and benches can assert on it.
+ * Lightweight statistics collection: named counters and a streaming
+ * mean/variance accumulator.  Every subsystem exposes its observable
+ * behaviour through these so tests and benches can assert on it.
  */
 
 #ifndef CTAMEM_COMMON_STATS_HH
 #define CTAMEM_COMMON_STATS_HH
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -33,8 +31,8 @@ class Counter
 
 /**
  * Streaming mean/variance accumulator (Welford), mergeable with
- * Chan's parallel-combine rule.  Unlike SampleStat it never forms
- * sum-of-squares, so merging partial chunks is numerically stable;
+ * Chan's parallel-combine rule.  It never forms sum-of-squares, so
+ * merging partial chunks is numerically stable;
  * the parallel Monte-Carlo runner folds per-chunk accumulators in
  * chunk-index order to get bit-identical results at any thread count.
  */
@@ -92,99 +90,6 @@ class MomentAccumulator
     std::uint64_t count_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-};
-
-/**
- * Accumulates scalar samples and reports summary statistics.  The
- * spread is tracked with a MomentAccumulator, so stddev() never forms
- * the cancellation-prone sum-of-squares difference.
- */
-class SampleStat
-{
-  public:
-    void
-    record(double x)
-    {
-        moments_.record(x);
-        sum_ += x;
-        if (moments_.count() == 1 || x < min_)
-            min_ = x;
-        if (moments_.count() == 1 || x > max_)
-            max_ = x;
-    }
-
-    void
-    reset()
-    {
-        moments_ = MomentAccumulator{};
-        sum_ = min_ = max_ = 0.0;
-    }
-
-    std::uint64_t count() const { return moments_.count(); }
-    double sum() const { return sum_; }
-    double mean() const { return count() ? sum_ / count() : 0.0; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    /** Sample standard deviation (n-1 divisor). */
-    double
-    stddev() const
-    {
-        const std::uint64_t n = count();
-        if (n < 2)
-            return 0.0;
-        const double var = moments_.variance() *
-                           (static_cast<double>(n) /
-                            static_cast<double>(n - 1));
-        return var > 0.0 ? std::sqrt(var) : 0.0;
-    }
-
-  private:
-    MomentAccumulator moments_;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Fixed-width-bucket histogram over [lo, hi). */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, unsigned buckets)
-        : lo_(lo), hi_(hi), counts_(buckets, 0)
-    {}
-
-    void
-    record(double x)
-    {
-        ++total_;
-        if (x < lo_) {
-            ++underflow_;
-        } else if (x >= hi_) {
-            ++overflow_;
-        } else {
-            // Clamp: for x just below hi_ the scaling can round up
-            // to counts_.size().
-            const auto idx = std::min(
-                static_cast<std::size_t>(
-                    (x - lo_) / (hi_ - lo_) * counts_.size()),
-                counts_.size() - 1);
-            ++counts_[idx];
-        }
-    }
-
-    std::uint64_t total() const { return total_; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    const std::vector<std::uint64_t> &buckets() const { return counts_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
 };
 
 /** Handle to one interned counter of a StatGroup. */

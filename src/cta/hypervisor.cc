@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "cta/ptp_zone.hh"
 
 namespace ctamem::cta {
 
@@ -21,37 +22,12 @@ Hypervisor::Hypervisor(dram::DramModule &module,
                        std::uint64_t zone_bytes)
     : module_(module)
 {
-    const auto &geom = module.geometry();
-    const std::uint64_t row_bytes = geom.rowBytes();
-    if (zone_bytes % row_bytes != 0)
-        fatal("ZONE_HYPERVISOR size must be row-aligned");
-    const Addr floor = geom.capacity() / 2;
-
-    std::uint64_t collected = 0;
-    Addr row = geom.capacity();
-    while (collected < zone_bytes) {
-        if (row < floor + row_bytes) {
-            fatal("cannot reserve ", zone_bytes,
-                  " true-cell bytes for ZONE_HYPERVISOR");
-        }
-        row -= row_bytes;
-        if (module.cellTypeAt(row) == dram::CellType::True) {
-            const Pfn base = addrToPfn(row);
-            const std::uint64_t frames = row_bytes / pageSize;
-            if (!freeSpans_.empty() &&
-                freeSpans_.back().basePfn == base + frames) {
-                freeSpans_.back().basePfn = base;
-                freeSpans_.back().frames += frames;
-            } else {
-                freeSpans_.push_back(FrameSpan{base, frames});
-            }
-            collected += row_bytes;
-        } else {
-            skippedAnti_ += row_bytes;
-        }
-    }
-    zoneBase_ = row;
-    remaining_ = collected;
+    PtpLayout scan =
+        collectTrueCellSpans(module, zone_bytes, "ZONE_HYPERVISOR");
+    zoneBase_ = scan.lowWaterMark;
+    skippedAnti_ = scan.skippedAntiBytes;
+    remaining_ = scan.trueBytes;
+    freeSpans_ = std::move(scan.spans);
 }
 
 GuestZone

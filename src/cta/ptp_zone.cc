@@ -54,81 +54,20 @@ PtpZone::layout() const
     return layout;
 }
 
-PtpZone::PtpZone(dram::DramModule &module, const CtaConfig &config)
-    : module_(module), arch_(config.arch),
-      indicator_(module.geometry().capacity(), config.ptpBytes),
-      multiLevel_(config.multiLevelZones)
-{
-    allocsLIds_[0] = failuresLIds_[0] = 0;
-    for (unsigned partition = 1; partition <= 4; ++partition) {
-        allocsLIds_[partition] = stats_.registerCounter(
-            "allocsL" + std::to_string(partition));
-        failuresLIds_[partition] = stats_.registerCounter(
-            "failuresL" + std::to_string(partition));
-    }
-    freesId_ = stats_.registerCounter("frees");
-    const auto &geom = module.geometry();
-    const std::uint64_t row_bytes = geom.rowBytes();
-    const std::uint64_t capacity = geom.capacity();
+namespace {
 
-    if (config.ptpBytes % row_bytes != 0) {
-        fatal("ZONE_PTP size ", config.ptpBytes,
-              " must be a multiple of the DRAM row size ", row_bytes);
-    }
-    // Never let the zone eat more than half the machine; a layout
-    // that anti-cell-starved that badly is a configuration error.
-    const Addr floor = capacity / 2;
-
-    Addr row = capacity;
-    while (trueBytes_ < config.ptpBytes) {
-        if (row < floor + row_bytes) {
-            fatal("cannot collect ", config.ptpBytes,
-                  " true-cell bytes above the low water mark; "
-                  "collected ", trueBytes_, " with ",
-                  skippedAntiBytes_, " anti-cell bytes skipped");
-        }
-        row -= row_bytes;
-        if (module.cellTypeAt(row) == dram::CellType::True) {
-            const Pfn base = addrToPfn(row);
-            const std::uint64_t frames = row_bytes / pageSize;
-            if (!spans_.empty() &&
-                spans_.back().basePfn == base + frames) {
-                // Extend the previous (higher) span downward.
-                spans_.back().basePfn = base;
-                spans_.back().frames += frames;
-            } else {
-                spans_.push_back(FrameSpan{base, frames});
-            }
-            trueBytes_ += row_bytes;
-        } else {
-            skippedAntiBytes_ += row_bytes;
-        }
-    }
-    lowWaterMark_ = row;
-
-    partitionLevels(config);
-    if (config.screenPageSizeBit && multiLevel_)
-        screenPageSizeBits();
-
-    for (unsigned level = 1; level <= 4; ++level) {
-        for (const FrameSpan &span : levelSpans_[level]) {
-            levelBuddies_[level].emplace_back(span.basePfn,
-                                              span.frames);
-        }
-    }
-}
-
+/** Partition the collected spans across paging levels. */
 void
-PtpZone::partitionLevels(const CtaConfig &config)
+partitionLevels(PtpLayout &layout, const paging::Arch &arch)
 {
-    if (!config.multiLevelZones) {
-        levelSpans_[1] = spans_;
+    if (!layout.multiLevel) {
+        layout.levelSpans[1] = layout.spans;
         return;
     }
 
-    const std::uint64_t total = trueBytes_ / pageSize;
-    const unsigned top = arch_->levels;
-    const std::uint64_t granule_frames = arch_->granuleFrames();
+    const std::uint64_t total = layout.trueBytes / pageSize;
+    const unsigned top = arch.levels;
+    const std::uint64_t granule_frames = arch.granuleFrames();
     // Heuristic reservations: leaf tables dominate (each level-k
     // table serves entriesPerTable level-(k-1) tables), so the upper
     // levels get small slices; higher levels sit at higher physical
@@ -145,23 +84,24 @@ PtpZone::partitionLevels(const CtaConfig &config)
     }
     want[1] = total - upper;
 
-    // spans_ is ordered top-of-memory first; carve in root-first
+    // The spans are ordered top-of-memory first; carve in root-first
     // level order so higher levels land higher.
+    const std::vector<FrameSpan> &spans = layout.spans;
     std::size_t span_idx = 0;
-    std::uint64_t offset = 0; // frames consumed from spans_[span_idx]
+    std::uint64_t offset = 0; // frames consumed from spans[span_idx]
     for (unsigned level = top; level >= 1; --level) {
         std::uint64_t need = want[level];
         while (need > 0) {
-            if (span_idx >= spans_.size())
+            if (span_idx >= spans.size())
                 ctamem_panic("level partition overran ZONE_PTP");
-            const FrameSpan &span = spans_[span_idx];
+            const FrameSpan &span = spans[span_idx];
             const std::uint64_t available = span.frames - offset;
             const std::uint64_t take =
                 std::min<std::uint64_t>(need, available);
             // Spans are stored top-first; frames are carved from the
             // top of each span downward.
             const Pfn base = span.basePfn + available - take;
-            levelSpans_[level].push_back(FrameSpan{base, take});
+            layout.levelSpans[level].push_back(FrameSpan{base, take});
             need -= take;
             offset += take;
             if (offset == span.frames) {
@@ -174,8 +114,14 @@ PtpZone::partitionLevels(const CtaConfig &config)
     }
 }
 
+/**
+ * Drop level>=2 frames with block-bit cells that can flip the entry
+ * into a block leaf (PS 1->0 on x86; the screen direction is the
+ * same on ARM, whose type bit is block-when-clear).
+ */
 void
-PtpZone::screenPageSizeBits()
+screenPageSizeBits(PtpLayout &layout, const paging::Arch &arch,
+                   const dram::FaultModel &faults)
 {
     // Only levels whose entries can carry the block marker need
     // screening: on x86 a PD/PDPT entry whose PS bit flips '1'->'0'
@@ -184,28 +130,27 @@ PtpZone::screenPageSizeBits()
     // way the dangerous direction in true-cells is '1'->'0' on the
     // descriptor's block bit.  Level>=2 candidate granules with a
     // vulnerable block-bit cell in any slot are dropped whole.
-    const dram::FaultModel &faults = module_.faults();
-    const std::uint64_t granule_frames = arch_->granuleFrames();
-    const std::uint64_t slots = arch_->entriesPerTable();
-    for (unsigned level = 2; level <= arch_->levels; ++level) {
+    const std::uint64_t granule_frames = arch.granuleFrames();
+    const std::uint64_t slots = arch.entriesPerTable();
+    for (unsigned level = 2; level <= arch.levels; ++level) {
         std::vector<FrameSpan> clean;
-        for (const FrameSpan &span : levelSpans_[level]) {
+        for (const FrameSpan &span : layout.levelSpans[level]) {
             for (Pfn pfn = span.basePfn; pfn < span.endPfn();
                  pfn += granule_frames) {
                 bool exploitable = false;
                 for (std::uint64_t slot = 0;
                      slot < slots && !exploitable; ++slot) {
                     const Addr addr = pfnToAddr(pfn) + slot * 8;
-                    if (faults.vulnerable(addr, arch_->blockBit) &&
+                    if (faults.vulnerable(addr, arch.blockBit) &&
                         faults.flipDirection(
-                            addr, arch_->blockBit,
+                            addr, arch.blockBit,
                             dram::CellType::True) ==
                             dram::FlipDirection::OneToZero) {
                         exploitable = true;
                     }
                 }
                 if (exploitable) {
-                    screenedFrames_ += granule_frames;
+                    layout.screenedFrames += granule_frames;
                 } else if (!clean.empty() &&
                            clean.back().endPfn() == pfn) {
                     clean.back().frames += granule_frames;
@@ -214,9 +159,72 @@ PtpZone::screenPageSizeBits()
                 }
             }
         }
-        levelSpans_[level] = std::move(clean);
+        layout.levelSpans[level] = std::move(clean);
     }
 }
+
+/** The full cold-boot scan: true-cell rows, levels, PS screening. */
+PtpLayout
+planLayout(const dram::DramModule &module, const CtaConfig &config)
+{
+    PtpLayout layout =
+        collectTrueCellSpans(module, config.ptpBytes, "ZONE_PTP");
+    layout.multiLevel = config.multiLevelZones;
+    partitionLevels(layout, *config.arch);
+    if (config.screenPageSizeBit && layout.multiLevel)
+        screenPageSizeBits(layout, *config.arch, module.faults());
+    return layout;
+}
+
+} // namespace
+
+PtpLayout
+collectTrueCellSpans(const dram::DramModule &module,
+                     std::uint64_t bytes, const char *zone)
+{
+    const std::uint64_t row_bytes = module.geometry().rowBytes();
+    const Addr capacity = module.geometry().capacity();
+    if (bytes % row_bytes != 0) {
+        fatal(zone, " size ", bytes,
+              " must be a multiple of the DRAM row size ", row_bytes);
+    }
+    // Never let a zone eat more than half the machine; a layout that
+    // anti-cell-starved that badly is a configuration error.
+    const Addr floor = capacity / 2;
+
+    PtpLayout layout;
+    std::vector<FrameSpan> &spans = layout.spans;
+    Addr row = capacity;
+    while (layout.trueBytes < bytes) {
+        if (row < floor + row_bytes) {
+            fatal("cannot collect ", bytes, " true-cell bytes for ",
+                  zone, " above half the module; collected ",
+                  layout.trueBytes, " with ", layout.skippedAntiBytes,
+                  " anti-cell bytes skipped");
+        }
+        row -= row_bytes;
+        if (module.cellTypeAt(row) != dram::CellType::True) {
+            layout.skippedAntiBytes += row_bytes;
+            continue;
+        }
+        const Pfn base = addrToPfn(row);
+        const std::uint64_t frames = row_bytes / pageSize;
+        if (!spans.empty() && spans.back().basePfn == base + frames) {
+            // Extend the previous (higher) span downward.
+            spans.back().basePfn = base;
+            spans.back().frames += frames;
+        } else {
+            spans.push_back(FrameSpan{base, frames});
+        }
+        layout.trueBytes += row_bytes;
+    }
+    layout.lowWaterMark = row;
+    return layout;
+}
+
+PtpZone::PtpZone(dram::DramModule &module, const CtaConfig &config)
+    : PtpZone(module, config, planLayout(module, config))
+{}
 
 std::optional<Pfn>
 PtpZone::allocate(unsigned level)

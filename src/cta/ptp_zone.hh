@@ -53,6 +53,20 @@ struct PtpLayout
     bool operator==(const PtpLayout &) const = default;
 };
 
+/**
+ * The top-down true-cell scan behind ZONE_PTP and ZONE_HYPERVISOR:
+ * walk @p module's rows down from the top of memory, merging
+ * true-cell rows into spans (top of memory first) and skipping
+ * anti-cell rows, until @p bytes are collected.  Fills the layout's
+ * lowWaterMark (the lowest row collected), trueBytes,
+ * skippedAntiBytes and spans.
+ * @throws FatalError when @p bytes is not row-aligned or the upper
+ *         half of the module cannot supply it (@p zone names the
+ *         zone in the message).
+ */
+PtpLayout collectTrueCellSpans(const dram::DramModule &module,
+                               std::uint64_t bytes, const char *zone);
+
 /** The page-table zone and its allocator. */
 class PtpZone
 {
@@ -126,14 +140,6 @@ class PtpZone
     StatGroup &stats() { return stats_; }
 
   private:
-    /** Partition the collected spans across paging levels. */
-    void partitionLevels(const CtaConfig &config);
-
-    /** Drop level>=2 frames with block-bit cells that can flip the
-     *  entry into a block leaf (PS 1->0 on x86; the screen direction
-     *  is the same on ARM, whose type bit is block-when-clear). */
-    void screenPageSizeBits();
-
     dram::DramModule &module_;
     const paging::Arch *arch_;
     PtpIndicator indicator_;

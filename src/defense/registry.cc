@@ -12,6 +12,16 @@ namespace {
 using kernel::AllocPolicy;
 using kernel::KernelConfig;
 
+/** Boot the CTA allocation policy with the machine's zone knobs. */
+void
+configureCta(const DefenseParams &params, KernelConfig &kconfig)
+{
+    kconfig.policy = AllocPolicy::Cta;
+    kconfig.cta.ptpBytes = params.ptpBytes;
+    kconfig.cta.multiLevelZones = params.ctaMultiLevelZones;
+    kconfig.cta.screenPageSizeBit = params.ctaScreenPageSize;
+}
+
 /**
  * The defense families the paper compares (Table 1 columns), exactly
  * as the old `Machine::Machine` switch built them.
@@ -22,24 +32,14 @@ registerBuiltinDefenses(Registry &registry)
     registry.add(DefenseSpec{DefenseKind::None, "none", "none",
                              nullptr, nullptr});
 
-    registry.add(DefenseSpec{
-        DefenseKind::Cta, "cta", "CTA",
-        [](const DefenseParams &params, KernelConfig &kconfig) {
-            kconfig.policy = AllocPolicy::Cta;
-            kconfig.cta.ptpBytes = params.ptpBytes;
-            kconfig.cta.multiLevelZones = params.ctaMultiLevelZones;
-            kconfig.cta.screenPageSizeBit = params.ctaScreenPageSize;
-        },
-        nullptr});
+    registry.add(DefenseSpec{DefenseKind::Cta, "cta", "CTA",
+                             configureCta, nullptr});
 
     registry.add(DefenseSpec{
         DefenseKind::CtaRestricted, "cta-restricted",
         "CTA+restriction",
         [](const DefenseParams &params, KernelConfig &kconfig) {
-            kconfig.policy = AllocPolicy::Cta;
-            kconfig.cta.ptpBytes = params.ptpBytes;
-            kconfig.cta.multiLevelZones = params.ctaMultiLevelZones;
-            kconfig.cta.screenPageSizeBit = params.ctaScreenPageSize;
+            configureCta(params, kconfig);
             kconfig.cta.minIndicatorZeros = 2;
         },
         nullptr});

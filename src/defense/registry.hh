@@ -28,9 +28,10 @@
 namespace ctamem::defense {
 
 /**
- * Every tunable a defense factory may consult, decoupled from the
- * sim layer's MachineConfig (which copies its fields in here) so the
- * defense registry stays below sim in the layer order.
+ * Every tunable a defense factory may consult.  This is the one
+ * declaration of each knob: the sim layer's MachineConfig derives
+ * from it, so the defense registry stays below sim in the layer
+ * order without a second copy of the fields.
  */
 struct DefenseParams
 {
@@ -46,6 +47,8 @@ struct DefenseParams
     std::uint64_t softTrrTracked = 32;        //!< for SoftTRR
     unsigned trrSamplers = 4;                 //!< for TrrSampler
     unsigned trrWindow = 8;                   //!< for TrrSampler
+
+    bool operator==(const DefenseParams &) const = default;
 };
 
 /** One registered defense. */

@@ -247,36 +247,6 @@ RowHammerEngine::rowProfile(std::uint64_t bank,
     return *slot;
 }
 
-std::vector<VulnerableBit>
-RowHammerEngine::vulnerableBits(std::uint64_t bank,
-                                std::uint64_t device_row)
-{
-    const RowVulnProfile &profile = rowProfile(bank, device_row);
-    const FaultModel &faults = module_.faults();
-    std::vector<VulnerableBit> found;
-    found.reserve(profile.vulnerableCells);
-    for (const MaskWord &mw : profile.words) {
-        for (std::uint64_t rest = mw.vuln; rest; rest &= rest - 1) {
-            const unsigned k = std::countr_zero(rest);
-            const std::uint64_t column = mw.word * 8ULL + k / 8;
-            const unsigned bit = k % 8;
-            found.push_back(VulnerableBit{
-                column, bit,
-                faults.tripThreshold(profile.base + column, bit)});
-        }
-    }
-    // Ascending trip threshold with a (column, bit) tie-break — the
-    // order the scalar disturbance loop consumed.
-    std::sort(found.begin(), found.end(),
-              [](const VulnerableBit &a, const VulnerableBit &b) {
-                  if (a.threshold != b.threshold)
-                      return a.threshold < b.threshold;
-                  return a.column != b.column ? a.column < b.column
-                                              : a.bit < b.bit;
-              });
-    return found;
-}
-
 void
 RowHammerEngine::disturbDeviceRow(std::uint64_t bank,
                                   std::uint64_t device_row,

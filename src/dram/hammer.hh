@@ -348,16 +348,6 @@ class RowHammerEngine
     const RowVulnProfile &rowProfile(std::uint64_t bank,
                                      std::uint64_t device_row);
 
-    /**
-     * Compatibility view of a row's vulnerable cells, materialized
-     * from the mask profile and sorted by ascending trip threshold
-     * with a (column, bit) tie-break — the order the scalar engine
-     * used.  Cold path only: it re-derives per-cell thresholds, so
-     * callers on hot loops should consume rowProfile() masks instead.
-     */
-    std::vector<VulnerableBit> vulnerableBits(std::uint64_t bank,
-                                              std::uint64_t device_row);
-
     /** Counters: passes, flips10, flips01, suppressedPasses. */
     StatGroup &stats() { return stats_; }
 

@@ -65,15 +65,16 @@ Campaign::addGrid(const std::vector<MachineConfig> &configs,
 }
 
 CellResult
-runCell(const CampaignCell &cell)
+runCell(const CampaignCell &cell, const BootFn &boot)
 {
     const Clock::time_point start = Clock::now();
-    Machine machine(cell.config);
+    const std::unique_ptr<Machine> machine =
+        boot ? boot(cell.config) : std::make_unique<Machine>(cell.config);
     CellResult out;
     out.cell = cell;
-    out.result = machine.runAttack(cell.attack);
+    out.result = machine->runAttack(cell.attack);
     out.anvilTriggered =
-        machine.anvil() && machine.anvil()->triggered();
+        machine->anvil() && machine->anvil()->triggered();
     out.wallSeconds = secondsSince(start);
     return out;
 }

@@ -15,6 +15,8 @@
 #ifndef CTAMEM_SIM_CAMPAIGN_HH
 #define CTAMEM_SIM_CAMPAIGN_HH
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,8 +106,20 @@ class Campaign
     std::vector<CampaignCell> cells_;
 };
 
-/** Build one machine from the cell's config and run its attack. */
-CellResult runCell(const CampaignCell &cell);
+/**
+ * Boots a machine for a cell's config.  The campaign service passes
+ * one that restores a post-boot snapshot of an identical config, or
+ * cold-boots and captures one.
+ */
+using BootFn =
+    std::function<std::unique_ptr<Machine>(const MachineConfig &)>;
+
+/**
+ * The one cell executor: boot a machine for the cell's config (a
+ * cold boot unless @p boot is given), run its attack and fill in the
+ * CellResult.  wallSeconds covers the boot and the attack.
+ */
+CellResult runCell(const CampaignCell &cell, const BootFn &boot = {});
 
 } // namespace ctamem::sim
 

@@ -9,29 +9,6 @@ namespace ctamem::sim {
 
 using defense::DefenseKind;
 
-namespace {
-
-/** Copy the per-defense tunables out of a machine config. */
-defense::DefenseParams
-defenseParams(const MachineConfig &config)
-{
-    defense::DefenseParams params;
-    params.seed = config.seed;
-    params.ptpBytes = config.ptpBytes;
-    params.ctaMultiLevelZones = config.ctaMultiLevelZones;
-    params.ctaScreenPageSize = config.ctaScreenPageSize;
-    params.refreshBoostFactor = config.refreshBoostFactor;
-    params.paraProbability = config.paraProbability;
-    params.anvilThreshold = config.anvilThreshold;
-    params.softTrrThreshold = config.softTrrThreshold;
-    params.softTrrTracked = config.softTrrTracked;
-    params.trrSamplers = config.trrSamplers;
-    params.trrWindow = config.trrWindow;
-    return params;
-}
-
-} // namespace
-
 Machine::Machine(const MachineConfig &config) : config_(config)
 {
     assemble(nullptr);
@@ -65,9 +42,8 @@ Machine::assemble(const kernel::BootImage *image)
     kconfig.dram.errors.pf = config.pf;
     kconfig.dram.seed = config.seed;
 
-    const defense::DefenseParams params = defenseParams(config);
     if (spec->configureKernel)
-        spec->configureKernel(params, kconfig);
+        spec->configureKernel(config, kconfig);
     kconfig.arch = &paging::resolveArch(config.arch, config.granule);
 
     kernel_ = image
@@ -84,11 +60,10 @@ Machine::assemble(const kernel::BootImage *image)
         std::min<std::uint64_t>(config.memBytes / pageSize, 32768)));
 
     if (spec->makeObserver)
-        observer_ = spec->makeObserver(params);
+        observer_ = spec->makeObserver(config);
 
     engine_ = std::make_unique<dram::RowHammerEngine>(
         kernel_->dram(), observer_.get());
-    engine_->setRecordEvents(config.recordFlipEvents);
 }
 
 defense::AnvilObserver *
@@ -109,9 +84,8 @@ Machine::runAttack(AttackKind kind)
               " has no registry entry");
     }
     attack::AttackParams params;
-    params.seed = config_.seed;
     params.defense = config_.defense;
-    params.defenseParams = defenseParams(config_);
+    params.defenseParams = config_;
     params.fuzz = config_.fuzz;
     return spec->run(*kernel_, *engine_, params);
 }

@@ -19,9 +19,9 @@
 
 #include "attack/registry.hh"
 #include "attack/result.hh"
-#include "common/rng.hh"
 #include "cta/config.hh"
 #include "defense/observers.hh"
+#include "defense/registry.hh"
 #include "dram/hammer.hh"
 #include "fuzz/fuzzer.hh"
 #include "kernel/kernel.hh"
@@ -35,42 +35,26 @@ using attack::attackName;
 using attack::attackToken;
 using attack::parseAttackKind;
 
-/** Everything needed to build one machine. */
-struct MachineConfig
+/**
+ * Everything needed to build one machine.  The defense knobs (and
+ * the machine seed they derive streams from) are inherited from
+ * defense::DefenseParams, their one declaration.
+ */
+struct MachineConfig : defense::DefenseParams
 {
     std::uint64_t memBytes = 256 * MiB;
     std::uint64_t rowBytes = 128 * KiB;
     std::uint64_t banks = 1;
     std::uint64_t cellPeriod = 512; //!< alternating stripe, in rows
     double pf = 1e-3;               //!< boosted for simulation scale
-    std::uint64_t seed = seeds::kMachine;
 
     defense::DefenseKind defense = defense::DefenseKind::None;
-    std::uint64_t ptpBytes = 4 * MiB;     //!< for the CTA defenses
-    /** Per-paging-level PTP zoning (Section 7), CTA defenses only. */
-    bool ctaMultiLevelZones = false;
-    /** With multi-level zones: screen PS-bit-vulnerable frames. */
-    bool ctaScreenPageSize = false;
-    unsigned refreshBoostFactor = 4;      //!< for RefreshBoost
-    double paraProbability = 0.001;       //!< for PARA
-    std::uint64_t anvilThreshold = 1'000'000; //!< for ANVIL
-    std::uint64_t softTrrThreshold = 500'000; //!< for SoftTRR
-    std::uint64_t softTrrTracked = 32;        //!< for SoftTRR
-    unsigned trrSamplers = 4;                 //!< for TrrSampler
-    unsigned trrWindow = 8;                   //!< for TrrSampler
 
     /**
      * REF-clock + pattern-search configuration consumed by the
      * timing-aware attacks (uniform / sync_hammer / fuzz_hammer).
      */
     fuzz::FuzzParams fuzz;
-
-    /**
-     * Record individual FlipEvents in every HammerResult (see
-     * RowHammerEngine::setRecordEvents).  Off by default: campaign
-     * loops only consume flip counts.
-     */
-    bool recordFlipEvents = false;
 
     /**
      * Paging architecture the machine boots with.  The (arch,

@@ -220,40 +220,6 @@ machineConfigFromJson(const Json &j, const MachineConfig &base)
 }
 
 Json
-toJson(const cta::CtaConfig &config)
-{
-    Json j = Json::object();
-    j.set("ptpBytes", config.ptpBytes)
-        .set("minIndicatorZeros", config.minIndicatorZeros)
-        .set("multiLevelZones", config.multiLevelZones)
-        .set("screenPageSizeBit", config.screenPageSizeBit);
-    return j;
-}
-
-cta::CtaConfig
-ctaConfigFromJson(const Json &j, const cta::CtaConfig &base)
-{
-    cta::CtaConfig config = base;
-    for (const Json::Member &member : j.members()) {
-        const std::string &key = member.key;
-        const Json &value = member.value;
-        if (isComment(key))
-            continue;
-        else if (key == "ptpBytes")
-            config.ptpBytes = value.asU64();
-        else if (key == "minIndicatorZeros")
-            config.minIndicatorZeros = asUnsigned(value);
-        else if (key == "multiLevelZones")
-            config.multiLevelZones = value.asBool();
-        else if (key == "screenPageSizeBit")
-            config.screenPageSizeBit = value.asBool();
-        else
-            unknownKey("CtaConfig", key);
-    }
-    return config;
-}
-
-Json
 toJson(const CampaignCell &cell)
 {
     Json j = Json::object();

@@ -4,8 +4,8 @@
  * in-memory Campaign API and checked-in scenario manifests.
  *
  * Guarantees:
- *  - `fromJson(toJson(x)) == x` for MachineConfig, CtaConfig and
- *    CampaignCell (property-tested over the Table-1 grid);
+ *  - `fromJson(toJson(x)) == x` for MachineConfig and CampaignCell
+ *    (property-tested over the Table-1 grid);
  *  - `toJson` output is deterministic byte-for-byte (golden-file
  *    tested), so manifests and reports diff cleanly across runs;
  *  - unknown manifest keys are a hard error (typo protection), while
@@ -35,7 +35,6 @@
 #define CTAMEM_SIM_SCENARIO_HH
 
 #include "common/json.hh"
-#include "cta/config.hh"
 #include "sim/campaign.hh"
 
 namespace ctamem::sim {
@@ -81,13 +80,6 @@ json::Json toJson(const MachineConfig &config);
  */
 MachineConfig machineConfigFromJson(const json::Json &j,
                                     const MachineConfig &base = {});
-/** @} */
-
-/** @name cta::CtaConfig <-> JSON (kernel-level scenarios) */
-/** @{ */
-json::Json toJson(const cta::CtaConfig &config);
-cta::CtaConfig ctaConfigFromJson(const json::Json &j,
-                                 const cta::CtaConfig &base = {});
 /** @} */
 
 /** @name CampaignCell / results <-> JSON */

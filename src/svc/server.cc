@@ -20,6 +20,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Distinct configs whose snapshot blobs are kept (LRU). */
+constexpr std::size_t kSnapshotEntries = 32;
+
 double
 secondsSince(Clock::time_point start)
 {
@@ -76,14 +79,10 @@ CampaignService::waitIdle()
     idle_.wait(lock, [this] { return pendingCells_ == 0; });
 }
 
-CellResult
-CampaignService::runCellWarm(const CampaignCell &cell)
+std::unique_ptr<sim::Machine>
+CampaignService::bootMachine(const sim::MachineConfig &config)
 {
-    if (!config_.snapshotWarmStart)
-        return sim::runCell(cell);
-
-    const Clock::time_point start = Clock::now();
-    const std::string key = configCacheKey(cell.config);
+    const std::string key = configCacheKey(config);
 
     std::shared_ptr<const std::vector<std::uint8_t>> blob;
     {
@@ -93,37 +92,30 @@ CampaignService::runCellWarm(const CampaignCell &cell)
             blob = it->second;
     }
 
-    std::unique_ptr<sim::Machine> machine;
     if (blob) {
-        machine = restoreMachine(
+        auto machine = restoreMachine(
             deserialize(blob->data(), blob->size()));
         std::lock_guard<std::mutex> lock(countersMutex_);
         ++counters_.snapshotRestores;
-    } else {
-        machine = std::make_unique<sim::Machine>(cell.config);
-        auto taken = std::make_shared<const std::vector<std::uint8_t>>(
-            serialize(captureSnapshot(*machine)));
-        {
-            std::lock_guard<std::mutex> lock(snapshotMutex_);
-            if (snapshots_.emplace(key, std::move(taken)).second) {
-                snapshotLru_.push_back(key);
-                while (snapshots_.size() > config_.snapshotEntries) {
-                    snapshots_.erase(snapshotLru_.front());
-                    snapshotLru_.pop_front();
-                }
-            }
-        }
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        ++counters_.snapshotCaptures;
+        return machine;
     }
 
-    CellResult out;
-    out.cell = cell;
-    out.result = machine->runAttack(cell.attack);
-    out.anvilTriggered =
-        machine->anvil() && machine->anvil()->triggered();
-    out.wallSeconds = secondsSince(start);
-    return out;
+    auto machine = std::make_unique<sim::Machine>(config);
+    auto taken = std::make_shared<const std::vector<std::uint8_t>>(
+        serialize(captureSnapshot(*machine)));
+    {
+        std::lock_guard<std::mutex> lock(snapshotMutex_);
+        if (snapshots_.emplace(key, std::move(taken)).second) {
+            snapshotLru_.push_back(key);
+            while (snapshots_.size() > kSnapshotEntries) {
+                snapshots_.erase(snapshotLru_.front());
+                snapshotLru_.pop_front();
+            }
+        }
+    }
+    std::lock_guard<std::mutex> lock(countersMutex_);
+    ++counters_.snapshotCaptures;
+    return machine;
 }
 
 CampaignService::CellOutcome
@@ -143,7 +135,10 @@ CampaignService::runCellCached(const CampaignCell &cell)
     }
 
     CellOutcome outcome;
-    outcome.result = runCellWarm(cell);
+    outcome.result = sim::runCell(
+        cell, [this](const sim::MachineConfig &config) {
+            return bootMachine(config);
+        });
     outcome.cached = false;
     cache_.insert(key, sim::toJson(outcome.result));
     std::lock_guard<std::mutex> lock(countersMutex_);

@@ -51,10 +51,6 @@ struct ServiceConfig
     std::size_t memCacheEntries = 1024;
     /** Disk cache directory; empty disables the disk tier. */
     std::string cacheDir = ".ctamem-cache";
-    /** Warm-start machines from post-boot snapshots. */
-    bool snapshotWarmStart = true;
-    /** Distinct configs whose snapshot blobs are kept (LRU). */
-    std::size_t snapshotEntries = 32;
 };
 
 /** Service-level counters (cache counters live in CacheStats). */
@@ -93,9 +89,9 @@ class CampaignService
     };
 
     /**
-     * Run one cell through the cache and the snapshot warm-start
-     * path — the unit of work serve() dispatches per cell, exposed
-     * for benches and tests.
+     * Run one cell through the cache and sim::runCell, booting its
+     * machine from a snapshot when one is held — the unit of work
+     * serve() dispatches per cell, exposed for benches and tests.
      */
     CellOutcome runCellCached(const sim::CampaignCell &cell);
 
@@ -112,8 +108,12 @@ class CampaignService
 
     void handleSubmit(const json::Json &request, std::ostream &out);
 
-    /** Execute a cell on a warm-started (or cold) machine. */
-    sim::CellResult runCellWarm(const sim::CampaignCell &cell);
+    /**
+     * Restore a machine from the snapshot held for @p config, or
+     * cold-boot one and keep its snapshot for later cells.
+     */
+    std::unique_ptr<sim::Machine>
+    bootMachine(const sim::MachineConfig &config);
 
     /** Block until no cells are in flight. */
     void waitIdle();

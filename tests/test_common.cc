@@ -230,29 +230,6 @@ TEST(Stats, CounterAndSamples)
     EXPECT_EQ(c.value(), 5u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-
-    SampleStat s;
-    s.record(1.0);
-    s.record(3.0);
-    EXPECT_EQ(s.count(), 2u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-    EXPECT_NEAR(s.stddev(), std::sqrt(2.0), 1e-12);
-}
-
-TEST(Stats, Histogram)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.record(-1.0);
-    h.record(0.0);
-    h.record(5.5);
-    h.record(10.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[5], 1u);
-    EXPECT_EQ(h.total(), 4u);
 }
 
 TEST(Stats, StatGroup)
@@ -265,34 +242,24 @@ TEST(Stats, StatGroup)
     EXPECT_EQ(g.value("a"), 0u);
 }
 
-TEST(Stats, HistogramTopEdgeClamps)
-{
-    // 0.7 is not exactly representable: (x - lo) / (hi - lo) * size
-    // can round to exactly size for x just under hi.  The clamp must
-    // land such samples in the last bucket, not one past it.
-    Histogram h(0.0, 0.7, 7);
-    h.record(std::nextafter(0.7, 0.0));
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.buckets().back(), 1u);
-    EXPECT_EQ(h.total(), 1u);
-}
-
 TEST(Stats, SampleStatWelfordStability)
 {
     // Classic catastrophic-cancellation case: tiny spread on a huge
     // offset.  The naive sum-of-squares form loses every significant
-    // digit; Welford keeps them.
-    SampleStat s;
+    // digit; Welford keeps them, which the Monte-Carlo runner's
+    // per-chunk accumulators rely on.
+    MomentAccumulator s;
     const double offset = 1e9;
     for (double x : {offset - 1.0, offset, offset + 1.0})
         s.record(x);
-    EXPECT_NEAR(s.stddev(), 1.0, 1e-6);
+    EXPECT_NEAR(s.variance(), 2.0 / 3.0, 1e-6);
     EXPECT_DOUBLE_EQ(s.mean(), offset);
-    EXPECT_DOUBLE_EQ(s.sum(), 3.0 * offset);
+    EXPECT_EQ(s.count(), 3u);
 
-    s.reset();
+    s = MomentAccumulator{};
     EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
+    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+    EXPECT_DOUBLE_EQ(s.stderrOfMean(), 0.0);
 }
 
 TEST(Stats, StatGroupHandles)

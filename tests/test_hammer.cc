@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "dram/hammer.hh"
 #include "dram/module.hh"
 
@@ -64,8 +66,8 @@ TEST(Hammer, TrueCellAllZeroDataRarelyFlips)
     const HammerResult result = engine.hammerDoubleSided(0, 1);
     // 0->1 flips exist but at 0.2% of the vulnerable population.
     EXPECT_EQ(result.flips10, 0u);
-    const std::size_t vulnerable =
-        engine.vulnerableBits(0, 1).size();
+    const std::uint64_t vulnerable =
+        engine.rowProfile(0, 1).vulnerableCells;
     EXPECT_LT(result.flips01, vulnerable / 50);
 }
 
@@ -178,16 +180,22 @@ TEST(Hammer, VulnerableBitScanMatchesFaultModel)
 {
     DramModule module(hammerConfig());
     RowHammerEngine engine(module);
-    const auto &bits = engine.vulnerableBits(0, 1);
+    const RowVulnProfile &profile = engine.rowProfile(0, 1);
     const FaultModel &faults = module.faults();
     const Addr base = 1 * 128 * KiB;
-    for (const VulnerableBit &cell : bits) {
-        EXPECT_TRUE(faults.vulnerable(base + cell.column, cell.bit));
+    std::uint64_t cells = 0;
+    for (const MaskWord &word : profile.words) {
+        for (std::uint64_t rest = word.vuln; rest; rest &= rest - 1) {
+            const unsigned k = std::countr_zero(rest);
+            EXPECT_TRUE(
+                faults.vulnerable(base + word.word * 8ULL + k / 8, k % 8));
+            ++cells;
+        }
     }
+    EXPECT_EQ(cells, profile.vulnerableCells);
     // Expected count: rowBytes * 8 * pf.
     const double expected = 128.0 * KiB * 8 * 5e-3;
-    EXPECT_NEAR(static_cast<double>(bits.size()), expected,
-                expected * 0.1);
+    EXPECT_NEAR(static_cast<double>(cells), expected, expected * 0.1);
 }
 
 TEST(Hammer, EdgeRowFallsBackToSingleSided)

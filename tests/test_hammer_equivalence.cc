@@ -255,39 +255,6 @@ TEST(HammerEquivalence, RemappedRowsStayEquivalent)
     expectStoresEqual(masked, scalar);
 }
 
-TEST(HammerEquivalence, CompatibilityViewMatchesProfileMasks)
-{
-    DramModule module(equivConfig(0x77, 5e-3));
-    RowHammerEngine engine(module);
-    const RowVulnProfile &profile = engine.rowProfile(0, 5);
-    const std::vector<VulnerableBit> bits =
-        engine.vulnerableBits(0, 5);
-    ASSERT_EQ(bits.size(), profile.vulnerableCells);
-
-    // Same cells, different order: the view sorts by trip threshold.
-    std::vector<std::pair<std::uint64_t, unsigned>> from_view;
-    for (const VulnerableBit &bit : bits)
-        from_view.emplace_back(bit.column, bit.bit);
-    std::sort(from_view.begin(), from_view.end());
-    std::vector<std::pair<std::uint64_t, unsigned>> from_masks;
-    for (const MaskWord &word : profile.words) {
-        for (std::uint64_t rest = word.vuln; rest;
-             rest &= rest - 1) {
-            const unsigned k = static_cast<unsigned>(
-                std::countr_zero(rest));
-            from_masks.emplace_back(
-                static_cast<std::uint64_t>(word.word) * 8 + k / 8,
-                k % 8);
-        }
-    }
-    EXPECT_EQ(from_view, from_masks);
-    EXPECT_TRUE(std::is_sorted(
-        bits.begin(), bits.end(),
-        [](const VulnerableBit &a, const VulnerableBit &b) {
-            return a.threshold < b.threshold;
-        }));
-}
-
 /** Records every DisturbanceEvent it sees; never suppresses. */
 struct RecordingObserver : DisturbanceObserver
 {

@@ -98,6 +98,36 @@ TEST(Scenario, MachineConfigRoundTripsOverTable1Grid)
     tweaked.anvilThreshold = 123'456;
     tweaked.softTrrThreshold = 250'000;
     tweaked.softTrrTracked = 16;
+    tweaked.ctaMultiLevelZones = true;
+    tweaked.ctaScreenPageSize = true;
+    tweaked.trrSamplers = 2;
+    tweaked.trrWindow = 16;
+    tweaked.fuzz.population = 7;
+    tweaked.fuzz.generations = 3;
+    tweaked.fuzz.windows = 5;
+    tweaked.fuzz.seed = 42;
+    tweaked.fuzz.timing.refsPerWindow = 1024;
+    tweaked.fuzz.timing.actsPerInterval = 33;
+    tweaked.fuzz.builder.arenaRows = 64;
+    tweaked.fuzz.builder.maxEntries = 6;
+    tweaked.fuzz.builder.maxPeriod = 12;
+    tweaked.fuzz.builder.maxSlots = 20;
+    tweaked.arch = paging::Isa::AArch64;
+    tweaked.granule = 16 * KiB;
+    // Every serialized field is off its default, so a knob the codec
+    // drops (or a field left out of the comparison) fails below.
+    const Json defaults = toJson(MachineConfig{});
+    const Json moved = toJson(tweaked);
+    for (const Json::Member &member : moved.members()) {
+        if (member.key == "fuzz") {
+            for (const Json::Member &sub : member.value.members())
+                EXPECT_NE(sub.value.dump(),
+                          defaults.at("fuzz").at(sub.key).dump())
+                    << "fuzz." << sub.key;
+        } else if (const Json *base = defaults.find(member.key)) {
+            EXPECT_NE(member.value.dump(), base->dump()) << member.key;
+        }
+    }
     grid.push_back(tweaked);
 
     for (const MachineConfig &config : grid) {
@@ -110,20 +140,6 @@ TEST(Scenario, MachineConfigRoundTripsOverTable1Grid)
             machineConfigFromJson(Json::parse(toJson(config).dump()));
         EXPECT_TRUE(reparsed == config);
     }
-}
-
-TEST(Scenario, CtaConfigRoundTrips)
-{
-    cta::CtaConfig config;
-    config.ptpBytes = 16 * MiB;
-    config.minIndicatorZeros = 3;
-    config.multiLevelZones = true;
-    config.screenPageSizeBit = true;
-    const cta::CtaConfig back = ctaConfigFromJson(toJson(config));
-    EXPECT_EQ(back.ptpBytes, config.ptpBytes);
-    EXPECT_EQ(back.minIndicatorZeros, config.minIndicatorZeros);
-    EXPECT_EQ(back.multiLevelZones, config.multiLevelZones);
-    EXPECT_EQ(back.screenPageSizeBit, config.screenPageSizeBit);
 }
 
 TEST(Scenario, CampaignCellRoundTrips)
@@ -155,8 +171,11 @@ TEST(Scenario, UnknownKeysAreHardErrors)
     EXPECT_THROW(machineConfigFromJson(
                      Json::parse(R"({"memBytez": 1024})")),
                  JsonError);
-    EXPECT_THROW(ctaConfigFromJson(
-                     Json::parse(R"({"ptbBytes": 1024})")),
+    EXPECT_THROW(machineConfigFromJson(
+                     Json::parse(R"({"fuzz": {"populaton": 8}})")),
+                 JsonError);
+    EXPECT_THROW(cellResultFromJson(
+                     Json::parse(R"({"outcom": "blocked"})")),
                  JsonError);
     EXPECT_THROW(campaignCellFromJson(
                      Json::parse(R"({"atack": "drammer"})")),

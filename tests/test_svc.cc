@@ -370,6 +370,44 @@ testServiceConfig(const std::string &cacheDir = {})
     return config;
 }
 
+TEST(Service, SnapshotBootedCellsMatchCampaignRun)
+{
+    // Two attacks on each config: the projectzero cell cold-boots
+    // and captures a snapshot, the drammer cell restores it.  Every
+    // cell must equal the cold Campaign::run cell on every field but
+    // wallSeconds.  The undefended machine's outcome depends on the
+    // restored DRAM frames, the CTA machine's on the restored zone.
+    const sim::Campaign campaign = sim::campaignFromJson(Json::parse(R"({
+        "defenses": ["none", "cta"],
+        "attacks": ["projectzero", "drammer"]})"));
+    ASSERT_EQ(campaign.size(), 4u);
+    const sim::CampaignReport expected = campaign.run();
+
+    CampaignService service(testServiceConfig());
+    for (std::size_t i = 0; i < campaign.size(); ++i) {
+        const CampaignService::CellOutcome outcome =
+            service.runCellCached(campaign.cells()[i]);
+        const sim::CellResult &got = outcome.result;
+        const sim::CellResult &want = expected.cells[i];
+        EXPECT_FALSE(outcome.cached);
+        EXPECT_TRUE(got.cell == want.cell) << i;
+        EXPECT_EQ(got.result.outcome, want.result.outcome) << i;
+        EXPECT_EQ(got.result.attackTime, want.result.attackTime) << i;
+        EXPECT_EQ(got.result.hammerPasses, want.result.hammerPasses);
+        EXPECT_EQ(got.result.flipsInduced, want.result.flipsInduced);
+        EXPECT_EQ(got.result.ptesCorrupted, want.result.ptesCorrupted);
+        EXPECT_EQ(got.result.selfReferences,
+                  want.result.selfReferences);
+        EXPECT_EQ(got.result.detail, want.result.detail) << i;
+        EXPECT_EQ(got.anvilTriggered, want.anvilTriggered) << i;
+        EXPECT_GT(got.wallSeconds, 0.0) << i;
+    }
+    const ServiceCounters counters = service.counters();
+    EXPECT_EQ(counters.cellsExecuted, 4u);
+    EXPECT_EQ(counters.snapshotCaptures, 2u);
+    EXPECT_EQ(counters.snapshotRestores, 2u);
+}
+
 TEST(Service, PingStatsAndUnknownTypes)
 {
     CampaignService service(testServiceConfig());
