@@ -158,12 +158,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MonotonicityProperty,
 // ZONE_PTP construction properties across layouts
 // ---------------------------------------------------------------
 
+// GTest names each case by the raw bytes of its parameter. The seven
+// bytes after `kind` are a member rather than padding so that they are
+// zero: padding keeps whatever was on the stack (a canary, a stack
+// address) and would give the case a different name in every build.
 struct ZoneCase
 {
     dram::CellLayoutKind kind;
+    std::uint8_t zeroes[7];
     std::uint64_t period;
     std::uint64_t ptpBytes;
 };
+
+ZoneCase
+zoneCase(dram::CellLayoutKind kind, std::uint64_t period,
+         std::uint64_t ptp_bytes)
+{
+    return ZoneCase{kind, {}, period, ptp_bytes};
+}
 
 class PtpZoneProperty : public ::testing::TestWithParam<ZoneCase>
 {
@@ -216,18 +228,18 @@ TEST_P(PtpZoneProperty, ConstructionInvariants)
 INSTANTIATE_TEST_SUITE_P(
     Layouts, PtpZoneProperty,
     ::testing::Values(
-        ZoneCase{dram::CellLayoutKind::AlternatingTrueFirst, 64,
-                 2 * MiB},
-        ZoneCase{dram::CellLayoutKind::AlternatingAntiFirst, 64,
-                 2 * MiB},
-        ZoneCase{dram::CellLayoutKind::AlternatingTrueFirst, 16,
-                 4 * MiB},
-        ZoneCase{dram::CellLayoutKind::AlternatingAntiFirst, 7,
-                 1 * MiB},
-        ZoneCase{dram::CellLayoutKind::MostlyTrue, 64, 8 * MiB},
-        ZoneCase{dram::CellLayoutKind::AllTrue, 1, 16 * MiB},
-        ZoneCase{dram::CellLayoutKind::AlternatingTrueFirst, 512,
-                 32 * MiB}));
+        zoneCase(dram::CellLayoutKind::AlternatingTrueFirst, 64,
+                 2 * MiB),
+        zoneCase(dram::CellLayoutKind::AlternatingAntiFirst, 64,
+                 2 * MiB),
+        zoneCase(dram::CellLayoutKind::AlternatingTrueFirst, 16,
+                 4 * MiB),
+        zoneCase(dram::CellLayoutKind::AlternatingAntiFirst, 7,
+                 1 * MiB),
+        zoneCase(dram::CellLayoutKind::MostlyTrue, 64, 8 * MiB),
+        zoneCase(dram::CellLayoutKind::AllTrue, 1, 16 * MiB),
+        zoneCase(dram::CellLayoutKind::AlternatingTrueFirst, 512,
+                 32 * MiB)));
 
 // ---------------------------------------------------------------
 // Address mapping bijectivity across geometries
