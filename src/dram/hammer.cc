@@ -433,12 +433,23 @@ RowHammerEngine::activate(std::uint64_t bank, std::uint64_t row,
         }
     }
 
+    if (pressure_.size() <= bank)
+        pressure_.resize(geom.banks());
+    std::vector<RowPressure> &table = pressure_[bank];
+    if (table.empty())
+        table.resize(rows);
     // A victim's `below` pressure counts activations of the device
     // row beneath it (i.e. this aggressor when the victim sits above).
-    if (below)
-        pressure_[rowKey(bank, aggressor - 1)].above += activations;
-    if (above)
-        pressure_[rowKey(bank, aggressor + 1)].below += activations;
+    if (below) {
+        RowPressure &victim = table[aggressor - 1];
+        pendingRows_ += !victim.pending();
+        victim.above += activations;
+    }
+    if (above) {
+        RowPressure &victim = table[aggressor + 1];
+        pendingRows_ += !victim.pending();
+        victim.below += activations;
+    }
 }
 
 double
@@ -459,18 +470,25 @@ RowHammerEngine::pressureIntensity(const RowPressure &pressure) const
 }
 
 void
-RowHammerEngine::evaluatePressure(std::uint64_t key,
+RowHammerEngine::clearPressure(RowPressure &pressure)
+{
+    pendingRows_ -= pressure.pending();
+    pressure = {};
+}
+
+void
+RowHammerEngine::evaluatePressure(std::uint64_t bank,
+                                  std::uint64_t device_row,
+                                  RowPressure &pressure,
                                   HammerResult &result)
 {
-    auto it = pressure_.find(key);
-    if (it == pressure_.end())
+    if (!pressure.pending())
         return;
-    const double intensity = pressureIntensity(it->second);
-    pressure_.erase(it);
+    const double intensity = pressureIntensity(pressure);
+    clearPressure(pressure);
     if (intensity <= 0.0)
         return;
-    disturbDeviceRow(key >> 40, key & ((1ULL << 40) - 1), intensity,
-                     result);
+    disturbDeviceRow(bank, device_row, intensity, result);
 }
 
 void
@@ -478,37 +496,31 @@ RowHammerEngine::refTick(std::uint64_t bank, HammerResult &result)
 {
     stats_.at(refTicksId_).increment();
 
+    trrScratch_.clear();
     if (observer_) {
         const RefEvent event{bank, refInterval_, this};
-        trrScratch_.clear();
         observer_->onRef(event, trrScratch_);
-        for (const std::uint64_t device_row : trrScratch_) {
-            stats_.at(trrRefreshesId_).increment();
-            pressure_.erase(rowKey(bank, device_row));
-        }
+    }
+    // Every targeted refresh counts; a row past the bank end has no
+    // pressure to clear.
+    stats_.at(trrRefreshesId_).increment(trrScratch_.size());
+    const std::span<RowPressure> table = bankPressure(bank);
+    for (const std::uint64_t device_row : trrScratch_) {
+        if (device_row < table.size())
+            clearPressure(table[device_row]);
     }
 
-    // This REF refreshes the rows whose slot this interval is; their
-    // accumulated pressure is what charge they lost since their last
-    // refresh.  Keys are sorted so flips land in ascending device-row
-    // order regardless of hash-map iteration order (the event-sink
-    // determinism contract).
-    const std::uint64_t rowMask = (1ULL << 40) - 1;
-    const std::uint64_t slot =
-        refInterval_ % refTiming_.refsPerWindow;
-    evalScratch_.clear();
-    for (const auto &[key, pressure] : pressure_) {
-        if ((key >> 40) == bank &&
-            (key & rowMask) % refTiming_.refsPerWindow == slot) {
-            evalScratch_.push_back(key);
-        }
-    }
-    std::sort(evalScratch_.begin(), evalScratch_.end());
-
+    // This REF refreshes the rows whose slot this interval is —
+    // device rows slot, slot + refsPerWindow, ... — evaluating the
+    // charge they lost since their last refresh.  Visiting them in
+    // ascending order lands flips in ascending device-row order (the
+    // event-sink determinism contract).
     const std::uint64_t before10 = result.flips10;
     const std::uint64_t before01 = result.flips01;
-    for (const std::uint64_t key : evalScratch_)
-        evaluatePressure(key, result);
+    for (std::uint64_t row = refInterval_ % refTiming_.refsPerWindow;
+         row < table.size(); row += refTiming_.refsPerWindow) {
+        evaluatePressure(bank, row, table[row], result);
+    }
     stats_.at(flips10Id_).increment(result.flips10 - before10);
     stats_.at(flips01Id_).increment(result.flips01 - before01);
 
@@ -519,136 +531,13 @@ void
 RowHammerEngine::drainPressure(std::uint64_t bank,
                                HammerResult &result)
 {
-    evalScratch_.clear();
-    for (const auto &[key, pressure] : pressure_) {
-        if ((key >> 40) == bank)
-            evalScratch_.push_back(key);
-    }
-    std::sort(evalScratch_.begin(), evalScratch_.end());
-
     const std::uint64_t before10 = result.flips10;
     const std::uint64_t before01 = result.flips01;
-    for (const std::uint64_t key : evalScratch_)
-        evaluatePressure(key, result);
+    const std::span<RowPressure> table = bankPressure(bank);
+    for (std::uint64_t row = 0; row < table.size(); ++row)
+        evaluatePressure(bank, row, table[row], result);
     stats_.at(flips10Id_).increment(result.flips10 - before10);
     stats_.at(flips01Id_).increment(result.flips01 - before01);
 }
-
-namespace reference {
-
-namespace {
-
-/** The scalar engine's row scan: every cell, one hash at a time. */
-std::vector<VulnerableBit>
-scanRowScalar(DramModule &module, std::uint64_t bank,
-              std::uint64_t device_row)
-{
-    const Geometry &geom = module.geometry();
-    const std::uint64_t logical = module.logicalRow(bank, device_row);
-    std::vector<VulnerableBit> found;
-    if (logical != ~0ULL) {
-        const Addr base = geom.address(Location{bank, logical, 0});
-        const FaultModel &faults = module.faults();
-        for (std::uint64_t col = 0; col < geom.rowBytes(); ++col) {
-            for (unsigned bit = 0; bit < 8; ++bit) {
-                if (faults.vulnerable(base + col, bit)) {
-                    found.push_back(VulnerableBit{
-                        col, bit,
-                        faults.tripThreshold(base + col, bit)});
-                }
-            }
-        }
-    }
-    std::sort(found.begin(), found.end(),
-              [](const VulnerableBit &a, const VulnerableBit &b) {
-                  if (a.threshold != b.threshold)
-                      return a.threshold < b.threshold;
-                  return a.column != b.column ? a.column < b.column
-                                              : a.bit < b.bit;
-              });
-    return found;
-}
-
-/** The scalar engine's disturbance pass: readBit/writeBit per cell. */
-void
-disturbScalar(DramModule &module, std::uint64_t bank,
-              std::uint64_t device_row, double intensity,
-              HammerResult &result)
-{
-    const std::uint64_t logical = module.logicalRow(bank, device_row);
-    if (logical == ~0ULL)
-        return;
-    const Geometry &geom = module.geometry();
-    const Addr base = geom.address(Location{bank, logical, 0});
-    const CellType type = module.cellMap().rowType(device_row);
-    const FaultModel &faults = module.faults();
-
-    const std::vector<VulnerableBit> cells =
-        scanRowScalar(module, bank, device_row);
-    for (const VulnerableBit &cell : cells) {
-        if (cell.threshold > intensity)
-            break; // sorted ascending: nothing further can trip
-        const Addr addr = base + cell.column;
-        const FlipDirection dir =
-            faults.flipDirection(addr, cell.bit, type);
-        const bool stored = module.store().readBit(addr, cell.bit);
-        if (dir == FlipDirection::OneToZero && stored) {
-            module.store().writeBit(addr, cell.bit, false);
-            ++result.flips10;
-            result.events.push_back(FlipEvent{addr, cell.bit, dir});
-        } else if (dir == FlipDirection::ZeroToOne && !stored) {
-            module.store().writeBit(addr, cell.bit, true);
-            ++result.flips01;
-            result.events.push_back(FlipEvent{addr, cell.bit, dir});
-        }
-    }
-}
-
-} // namespace
-
-HammerResult
-hammerRowScalar(DramModule &module, std::uint64_t bank,
-                std::uint64_t row)
-{
-    const Geometry &geom = module.geometry();
-    if (bank >= geom.banks() || row >= geom.rowsPerBank())
-        fatal("hammerRowScalar: row out of range");
-
-    HammerResult result;
-    const std::uint64_t aggressor = module.deviceRow(bank, row);
-    if (aggressor > 0)
-        disturbScalar(module, bank, aggressor - 1,
-                      RowHammerEngine::singleSidedIntensity, result);
-    if (aggressor + 1 < geom.rowsPerBank())
-        disturbScalar(module, bank, aggressor + 1,
-                      RowHammerEngine::singleSidedIntensity, result);
-    return result;
-}
-
-HammerResult
-hammerDoubleSidedScalar(DramModule &module, std::uint64_t bank,
-                        std::uint64_t victim_row)
-{
-    const Geometry &geom = module.geometry();
-    if (bank >= geom.banks() || victim_row >= geom.rowsPerBank())
-        fatal("hammerDoubleSidedScalar: row out of range");
-
-    const std::uint64_t victim = module.deviceRow(bank, victim_row);
-    if (victim == 0 || victim + 1 >= geom.rowsPerBank())
-        return hammerRowScalar(module, bank, victim_row);
-
-    HammerResult result;
-    disturbScalar(module, bank, victim,
-                  RowHammerEngine::doubleSidedIntensity, result);
-    if (victim >= 2)
-        disturbScalar(module, bank, victim - 2,
-                      RowHammerEngine::singleSidedIntensity, result);
-    if (victim + 2 < geom.rowsPerBank())
-        disturbScalar(module, bank, victim + 2,
-                      RowHammerEngine::singleSidedIntensity, result);
-    return result;
-}
-
-} // namespace reference
 
 } // namespace ctamem::dram

@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -180,14 +181,6 @@ class DisturbanceObserver
         (void)event;
         (void)refresh_rows;
     }
-};
-
-/** A cached vulnerable cell within one device row. */
-struct VulnerableBit
-{
-    std::uint64_t column; //!< byte offset within the row
-    unsigned bit;
-    double threshold;     //!< minimum intensity that trips it
 };
 
 /**
@@ -336,7 +329,7 @@ class RowHammerEngine
     void drainPressure(std::uint64_t bank, HammerResult &result);
 
     /** Victim rows currently carrying unevaluated pressure. */
-    std::size_t pendingPressureRows() const { return pressure_.size(); }
+    std::size_t pendingPressureRows() const { return pendingRows_; }
     /** @} */
 
     /**
@@ -366,13 +359,31 @@ class RowHammerEngine
     {
         std::uint64_t below = 0; //!< activations of the row beneath
         std::uint64_t above = 0; //!< activations of the row on top
+
+        bool pending() const { return below != 0 || above != 0; }
     };
 
     /** Effective disturbance intensity of accumulated pressure. */
     double pressureIntensity(const RowPressure &pressure) const;
 
-    /** Convert one victim row's pressure into flips and clear it. */
-    void evaluatePressure(std::uint64_t key, HammerResult &result);
+    /** @p bank's pressure table; empty before its first activation. */
+    std::span<RowPressure>
+    bankPressure(std::uint64_t bank)
+    {
+        if (bank >= pressure_.size())
+            return {};
+        return pressure_[bank];
+    }
+
+    /** Clear one row's pressure unevaluated (a targeted refresh). */
+    void clearPressure(RowPressure &pressure);
+
+    /**
+     * Convert the pressure of @p device_row (its slot in @p bank's
+     * table) into flips and clear it.
+     */
+    void evaluatePressure(std::uint64_t bank, std::uint64_t device_row,
+                          RowPressure &pressure, HammerResult &result);
 
     DramModule &module_;
     DisturbanceObserver *observer_;
@@ -386,10 +397,13 @@ class RowHammerEngine
     // Timed-path state.
     RefTiming refTiming_;
     std::uint64_t refInterval_ = 0;
-    /** Outstanding pressure keyed like the profile map (bank, row). */
-    std::unordered_map<std::uint64_t, RowPressure> pressure_;
-    std::vector<std::uint64_t> trrScratch_;  //!< onRef refresh targets
-    std::vector<std::uint64_t> evalScratch_; //!< keys due this REF
+    /**
+     * Outstanding pressure: one table per bank, indexed by device
+     * row, allocated on the bank's first timed activation.
+     */
+    std::vector<std::vector<RowPressure>> pressure_;
+    std::size_t pendingRows_ = 0; //!< rows with nonzero pressure
+    std::vector<std::uint64_t> trrScratch_; //!< onRef refresh targets
 
     StatGroup stats_;
     StatId passesId_;
@@ -432,22 +446,6 @@ ProfileCacheStats profileCacheStats();
 void profileCacheSetCapacity(std::size_t max_entries);
 
 /** @} */
-
-namespace reference {
-
-/**
- * Retained scalar reference implementation of the disturbance pass —
- * the pre-mask cell-at-a-time algorithm, kept verbatim so the
- * equivalence property tests can check the bit-parallel engine
- * cell-for-cell against it.  Not used on any hot path.
- */
-HammerResult hammerRowScalar(DramModule &module, std::uint64_t bank,
-                             std::uint64_t row);
-HammerResult hammerDoubleSidedScalar(DramModule &module,
-                                     std::uint64_t bank,
-                                     std::uint64_t victim_row);
-
-} // namespace reference
 
 } // namespace ctamem::dram
 

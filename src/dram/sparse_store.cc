@@ -20,7 +20,9 @@ SparseStore::touchSlow(Pfn pfn)
 {
     auto it = frames_.find(pfn);
     if (it == frames_.end()) {
-        auto frame = std::make_unique<std::uint8_t[]>(pageSize);
+        // Uninitialized allocation: the fill is the one pass over it.
+        auto frame =
+            std::make_unique_for_overwrite<std::uint8_t[]>(pageSize);
         std::memset(frame.get(), fill_, pageSize);
         it = frames_.emplace(pfn, std::move(frame)).first;
     }

@@ -83,10 +83,31 @@ PatternFuzzer::evaluate(const HammeringPattern &pattern) const
     dram::RowHammerEngine engine(module, observer.get());
     engine.setRefTiming(params_.timing);
 
-    // Prime the arena flip-ready: every vulnerable cell stores the
-    // value its flip direction consumes, so the score counts every
-    // cell the pattern's disturbance actually trips.
+    // The device rows the pattern can disturb: the neighbours of
+    // every aggressor some entry can activate.
     const std::uint64_t rows = module.geometry().rowsPerBank();
+    std::vector<std::uint64_t> victims;
+    for (const PatternEntry &entry : pattern.entries) {
+        for (std::uint64_t burst = 0; burst < entry.bursts(); ++burst) {
+            const std::uint64_t row =
+                entry.aggressorRow(target_.baseRow, burst);
+            if (row >= rows)
+                continue;
+            const std::uint64_t aggressor =
+                module.deviceRow(target_.bank, row);
+            if (aggressor > 0)
+                victims.push_back(aggressor - 1);
+            if (aggressor + 1 < rows)
+                victims.push_back(aggressor + 1);
+        }
+    }
+
+    // Prime those of them in the arena [baseRow - 1, baseRow +
+    // arenaRows + 2) flip-ready: every vulnerable cell stores the
+    // value its flip direction consumes, so the score counts every
+    // cell the pattern's disturbance actually trips.  No other row is
+    // ever disturbed and observers never read data, so priming the
+    // rest of the arena could not change the score.
     const std::uint64_t first =
         target_.baseRow > 0 ? target_.baseRow - 1 : 0;
     const std::uint64_t last = std::min(
@@ -94,6 +115,10 @@ PatternFuzzer::evaluate(const HammeringPattern &pattern) const
     for (std::uint64_t row = first; row < last; ++row) {
         const std::uint64_t device =
             module.deviceRow(target_.bank, row);
+        if (std::find(victims.begin(), victims.end(), device) ==
+            victims.end()) {
+            continue;
+        }
         const dram::RowVulnProfile &profile =
             engine.rowProfile(target_.bank, device);
         if (!profile.mapped)

@@ -192,13 +192,12 @@ runPattern(dram::RowHammerEngine &engine,
                 entry.phase % entry.frequency) {
                 continue; // not this entry's interval
             }
-            const std::uint64_t bursts = entry.pairGap ? 2 : 1;
-            for (std::uint64_t burst = 0; burst < bursts; ++burst) {
+            for (std::uint64_t burst = 0; burst < entry.bursts();
+                 ++burst) {
                 if (budget == 0)
                     break;
-                const std::uint64_t row = run.baseRow +
-                                          entry.rowOffset +
-                                          burst * entry.pairGap;
+                const std::uint64_t row =
+                    entry.aggressorRow(run.baseRow, burst);
                 const std::uint64_t acts =
                     std::min(entry.activations, budget);
                 if (row < rows) {

@@ -46,6 +46,16 @@ struct PatternEntry
     std::uint64_t slot = 0;       //!< issue order within the interval
     std::uint64_t activations = 32; //!< per burst, per aggressor
 
+    /** Aggressor bursts per firing: 2 for a pair, 1 single-sided. */
+    std::uint64_t bursts() const { return pairGap ? 2 : 1; }
+
+    /** Logical row burst @p burst activates, from @p base_row. */
+    std::uint64_t
+    aggressorRow(std::uint64_t base_row, std::uint64_t burst) const
+    {
+        return base_row + rowOffset + burst * pairGap;
+    }
+
     bool operator==(const PatternEntry &) const = default;
 };
 

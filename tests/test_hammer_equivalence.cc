@@ -24,6 +24,7 @@
 #include "defense/softtrr.hh"
 #include "dram/hammer.hh"
 #include "dram/module.hh"
+#include "hammer_reference.hh"
 
 namespace ctamem::dram {
 namespace {
