@@ -6,7 +6,7 @@
  * pressure table's edge cases, the TRR-sampler arms-race acceptance
  * property (uniform suppressed, evolved pattern flips cells),
  * thread-count determinism of the evolutionary search, pinned search
- * outcomes and flip-event streams, victim-only evaluation priming,
+ * outcomes, work and flip-event streams, victim-only evaluation priming,
  * and the manifest plumbing of the fuzz block.
  */
 
@@ -407,6 +407,22 @@ TEST(PatternFuzzer, SearchOutcomeIsPinned)
     EXPECT_EQ(outcome.best.hash(), 0x30482026163f79ecULL);
     EXPECT_EQ(outcome.bestFlips, 1288u);
     EXPECT_EQ(outcome.firstBypassGeneration, 0u);
+}
+
+TEST(PatternFuzzer, SearchWorkIsPinned)
+{
+    // A serial search asks the shared row-profile cache only for the
+    // rows its patterns disturb.  Counting hits and misses alike keeps
+    // the ceiling independent of what an earlier test left cached.
+    const dram::ProfileCacheStats before = dram::profileCacheStats();
+    const fuzz::FuzzOutcome outcome =
+        fuzz::PatternFuzzer(armsRaceTarget(), armsRaceParams()).run();
+    const dram::ProfileCacheStats after = dram::profileCacheStats();
+    const fuzz::FuzzParams params = armsRaceParams();
+    EXPECT_EQ(outcome.patternsEvaluated,
+              params.population * params.generations);
+    EXPECT_LE(after.hits - before.hits + after.misses - before.misses,
+              516u);
 }
 
 TEST(TimedHammer, FlipEventStreamIsPinned)

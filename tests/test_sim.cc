@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the sim layer: machine assembly per defense, the
- * attack-vs-defense matrix, the workload runner, and the Table 4
- * performance harness.
+ * attack-vs-defense matrix, the pinned work of the Table-1 grid, the
+ * workload runner, and the Table 4 performance harness.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "dram/hammer.hh"
+#include "sim/campaign.hh"
 #include "sim/machine.hh"
 #include "sim/perf_harness.hh"
 #include "sim/workload.hh"
@@ -15,6 +20,47 @@ namespace ctamem::sim {
 namespace {
 
 using defense::DefenseKind;
+
+/** Counters summed over the machines of one serial grid run. */
+struct GridWork
+{
+    std::uint64_t hammerPasses = 0;
+    std::uint64_t flips10 = 0;
+    std::uint64_t flips01 = 0;
+    std::uint64_t pageFaults = 0;
+    std::uint64_t pteAllocs = 0;
+    std::uint64_t walks = 0;
+    std::uint64_t tlbMisses = 0;
+    std::uint64_t frames = 0;
+    std::uint64_t profileLookups = 0; //!< shared-cache hits + misses
+    std::uint64_t profileBuilds = 0;  //!< shared-cache misses
+};
+
+/** Run every cell of @p campaign on its own machine, in order. */
+GridWork
+runGridSerially(const Campaign &campaign)
+{
+    GridWork work;
+    const dram::ProfileCacheStats before = dram::profileCacheStats();
+    for (const CampaignCell &cell : campaign.cells()) {
+        Machine machine(cell.config);
+        machine.runAttack(cell.attack);
+        StatGroup &engine = machine.engine().stats();
+        kernel::Kernel &kernel = machine.kernel();
+        work.hammerPasses += engine.value("passes");
+        work.flips10 += engine.value("flips10");
+        work.flips01 += engine.value("flips01");
+        work.pageFaults += kernel.stats().value("pageFaults");
+        work.pteAllocs += kernel.stats().value("pteAllocs");
+        work.walks += kernel.mmu().walker().stats().value("walks");
+        work.tlbMisses += kernel.mmu().tlb().stats().value("misses");
+        work.frames += machine.dram().store().frameCount();
+    }
+    const dram::ProfileCacheStats after = dram::profileCacheStats();
+    work.profileBuilds = after.misses - before.misses;
+    work.profileLookups = after.hits - before.hits + work.profileBuilds;
+    return work;
+}
 
 TEST(Machine, DefensesMapToPolicies)
 {
@@ -58,6 +104,36 @@ TEST(Machine, AttackMatrixHeadline)
     Machine protected_machine(config);
     EXPECT_NE(protected_machine.runAttack(AttackKind::ProjectZero).outcome,
               attack::Outcome::Escalated);
+}
+
+TEST(Machine, Table1GridWorkIsPinned)
+{
+    // The paper-default grid (the Table-1 matrix) run serially.  What
+    // the attacks do is exact; the work it took may only fall: a
+    // second walk per translation, a TLB that stops filling, extra
+    // materialized frames or a row-profile cache that stops sharing
+    // all raise a ceiling.  Lookups count every request that reached
+    // the shared cache, hit or miss, so no pin depends on what an
+    // earlier test left cached.
+    const Campaign campaign =
+        Campaign::fromManifest(std::string(CTAMEM_SOURCE_DIR) +
+                               "/scenarios/paper-default.json");
+    ASSERT_EQ(campaign.size(), 40u);
+
+    const GridWork work = runGridSerially(campaign);
+    EXPECT_EQ(work.hammerPasses, 4109u);
+    EXPECT_EQ(work.flips10, 133238u);
+    EXPECT_EQ(work.flips01, 10391u);
+    EXPECT_EQ(work.pageFaults, 269228u);
+    EXPECT_EQ(work.pteAllocs, 37285u);
+    EXPECT_LE(work.walks, 1249463u);
+    EXPECT_LE(work.tlbMisses, 1028279u);
+    EXPECT_LE(work.frames, 124675u);
+    EXPECT_LE(work.profileLookups, 846u);
+
+    // Every profile the grid needs stays cached for a second pass.
+    const GridWork again = runGridSerially(campaign);
+    EXPECT_EQ(again.profileBuilds, 0u);
 }
 
 TEST(Workload, SuitesHaveTable4Shape)
