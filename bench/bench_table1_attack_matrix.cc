@@ -19,20 +19,22 @@
  *   --out    JSON report path.  One entry per cell, named
  *            "<attack>__<defense>", with value = flips induced,
  *            unit = outcome name, iterations = hammer passes — all
- *            deterministic given the seed, so check_bench.py's
- *            "table1" suite gates them on *exact* equality against
- *            the checked-in x86-64 baseline (BENCH_table1.json).
+ *            deterministic given the seed, so the bench_table1_exact
+ *            ctest diffs an x86-64 run byte for byte against the
+ *            checked-in BENCH_table1.json.
  *            Default: BENCH_table1.json for x86_64, else
  *            BENCH_table1_<granule>.json.
  */
 
 #include <algorithm>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "common/bench_report.hh"
+#include "common/json.hh"
 #include "paging/arch.hh"
 #include "runtime/thread_pool.hh"
 #include "sim/scenarios.hh"
@@ -120,7 +122,8 @@ main(int argc, char **argv)
         std::cout << std::setw(17) << defense::defenseName(defense);
     std::cout << '\n';
 
-    BenchReport cells;
+    // Keyed by cell name, so the report lists the cells sorted.
+    std::map<std::string, json::Json> cells;
     bool cta_holds = true;
     std::size_t index = 0;
     for (AttackKind kind : attacks) {
@@ -132,10 +135,13 @@ main(int argc, char **argv)
             if (cell.anvilTriggered)
                 text += "*";
             std::cout << std::setw(17) << text;
-            cells.add(std::string(attackToken(kind)) + "__" +
-                          defense::defenseToken(defense),
-                      static_cast<double>(cell.result.flipsInduced),
-                      text, cell.result.hammerPasses);
+            cells[std::string(attackToken(kind)) + "__" +
+                  defense::defenseToken(defense)] =
+                json::Json::object()
+                    .set("value",
+                         static_cast<double>(cell.result.flipsInduced))
+                    .set("unit", text)
+                    .set("iterations", cell.result.hammerPasses);
             if ((defense == DefenseKind::Cta ||
                  defense == DefenseKind::CtaRestricted) &&
                 (cell.result.outcome == attack::Outcome::Escalated ||
@@ -162,7 +168,13 @@ main(int argc, char **argv)
     std::cout << "\nCTA columns free of escalation/self-reference: "
               << (cta_holds ? "YES" : "NO") << '\n';
 
-    if (!cells.writeFile(out)) {
+    json::Json table = json::Json::object();
+    for (auto &[name, row] : cells)
+        table.set(name, std::move(row));
+    std::ofstream file(out);
+    table.write(file);
+    file << '\n';
+    if (!file) {
         std::cerr << "bench_table1: cannot write " << out << '\n';
         return 1;
     }

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# Full local CI: the tier-1 build + test suite, the benchmark's
-# self-test (perfbench built against src/, so a library API change
-# that breaks the benchmark fails here), the scenario-manifest
-# smoke label, the AArch64 arch-smoke label, the benchmark regression
-# gates (hot-path, campaign service, pattern fuzzer, Table-1
-# exact-match), and the
-# sanitizer-instrumented suites behind their ctest labels (tsan for
-# the thread-pool/campaign engine, ubsan for the RNG/bit-twiddling-
+# Full local CI: the tier-1 build + test suite (which includes the
+# scenario-manifest, svc and AArch64 smoke tests and the Table-1
+# exact-match gate), the benchmark's self-test (perfbench built against
+# src/, so a library API change that breaks the benchmark fails here),
+# and the sanitizer-instrumented suites behind their ctest labels (tsan
+# for the thread-pool/campaign engine, ubsan for the RNG/bit-twiddling-
 # heavy suites, asan for the mask-engine / sparse-frame suites).
+# Host time is measured only by perfbench (perfbench/run.py).
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh --fast     # tier-1 + scenario smoke only
+#   scripts/check.sh --fast     # tier-1 + perfbench self-test only
 #
 # Build trees: build/ (tier-1), build-tsan/, build-ubsan/, build-asan/.
 
@@ -33,45 +32,6 @@ step "tier-1: ctest"
 
 step "perfbench self-test (builds perfbench against src/ into .bench_build/)"
 python3 perfbench/run.py --self-test
-
-step "scenario smoke (every checked-in manifest, 1 cell each)"
-(cd build && ctest --output-on-failure -L scenario-smoke -j "$jobs")
-
-step "svc smoke (ctamemd over the pipe protocol, cached resubmission)"
-(cd build && ctest --output-on-failure -L svc-smoke)
-
-step "arch smoke (AArch64 backend: attack_lab + ctamemd on aarch64-default.json)"
-(cd build && ctest --output-on-failure -L arch-smoke)
-
-step "bench gate: Table-1 matrix bit-identical to checked-in baseline"
-# Deterministic given the seed, so one run and exact equality.
-./build/bench/bench_table1_attack_matrix \
-    --out build/BENCH_table1.run.json >/dev/null
-python3 scripts/check_bench.py --suite table1 \
-    --baseline BENCH_table1.json --current build/BENCH_table1.run.json
-
-step "bench gate: hot-path microbenchmark vs checked-in baseline"
-# Three runs; the gate takes each metric's best to shed machine noise.
-for i in 1 2 3; do
-    ./build/bench/bench_hotpath_micro \
-        --out "build/BENCH_hotpath.run$i.json" >/dev/null
-done
-python3 scripts/check_bench.py --baseline BENCH_hotpath.json \
-    --current build/BENCH_hotpath.run{1,2,3}.json
-
-step "bench gate: campaign service vs checked-in baseline"
-for i in 1 2 3; do
-    ./build/bench/bench_svc --out "build/BENCH_svc.run$i.json" >/dev/null
-done
-python3 scripts/check_bench.py --suite svc --baseline BENCH_svc.json \
-    --current build/BENCH_svc.run{1,2,3}.json
-
-step "bench gate: pattern fuzzer vs checked-in baseline"
-for i in 1 2 3; do
-    ./build/bench/bench_fuzz --out "build/BENCH_fuzz.run$i.json" >/dev/null
-done
-python3 scripts/check_bench.py --suite fuzz --baseline BENCH_fuzz.json \
-    --current build/BENCH_fuzz.run{1,2,3}.json
 
 if [[ "$fast" == 1 ]]; then
     step "done (--fast: sanitizer suites skipped)"

@@ -264,7 +264,7 @@ void
 writeDouble(std::string &out, double v)
 {
     if (!std::isfinite(v)) {
-        out += '0'; // JSON has no inf/nan; degrade like BenchReport
+        out += '0'; // JSON has no inf/nan; degrade to 0
         return;
     }
     // Integral doubles keep a ".0" marker so the reader sees the

@@ -12,7 +12,7 @@
  * rely on.
  *
  * Used by the scenario manifests (`sim/scenario.*`), the campaign
- * reports, and `BenchReport`.
+ * reports, and the Table-1 bench's `BENCH_table1.json`.
  */
 
 #ifndef CTAMEM_COMMON_JSON_HH
@@ -138,7 +138,8 @@ class Json
     /**
      * Pretty-print with two-space indentation.  Composites whose
      * children are all scalars (and small) print on one line, so
-     * e.g. a BenchReport entry stays `{"value": 1.5, "unit": "s"}`.
+     * e.g. a Table-1 cell stays
+     * `{"value": 1.0, "unit": "BLOCKED", "iterations": 32}`.
      * Output is deterministic: golden files can compare bytes.
      */
     std::string dump() const;

@@ -5,51 +5,6 @@
 
 namespace ctamem {
 
-namespace {
-
-LogLevel globalLevel = LogLevel::Warn;
-
-const char *
-prefix(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug: return "debug: ";
-      case LogLevel::Info: return "info: ";
-      case LogLevel::Warn: return "warn: ";
-      case LogLevel::Error: return "error: ";
-      case LogLevel::Silent: return "";
-    }
-    return "";
-}
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
-namespace detail {
-
-void
-emit(LogLevel level, const std::string &msg)
-{
-    if (static_cast<int>(level) < static_cast<int>(globalLevel))
-        return;
-    std::ostream &os =
-        level >= LogLevel::Warn ? std::cerr : std::cout;
-    os << prefix(level) << msg << '\n';
-}
-
-} // namespace detail
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {

@@ -1,12 +1,10 @@
 /**
  * @file
- * Status-message and error helpers in the gem5 idiom.
+ * Error helpers in the gem5 idiom.
  *
  * panic()  - an internal invariant was violated (a ctamem bug); aborts.
  * fatal()  - the user asked for something impossible (bad config);
  *            throws FatalError so library embedders can recover.
- * warn()   - something is off but simulation can continue.
- * inform() - plain status output, gated by the global verbosity level.
  */
 
 #ifndef CTAMEM_COMMON_LOG_HH
@@ -18,9 +16,6 @@
 
 namespace ctamem {
 
-/** Severity of a log message. */
-enum class LogLevel { Debug, Info, Warn, Error, Silent };
-
 /** Error thrown by fatal(): an unusable user-supplied configuration. */
 class FatalError : public std::runtime_error
 {
@@ -30,15 +25,7 @@ class FatalError : public std::runtime_error
     {}
 };
 
-/** Set the minimum severity that is printed (default: Warn). */
-void setLogLevel(LogLevel level);
-
-/** Current minimum printed severity. */
-LogLevel logLevel();
-
 namespace detail {
-
-void emit(LogLevel level, const std::string &msg);
 
 template <typename... Args>
 std::string
@@ -50,30 +37,6 @@ format(Args &&...args)
 }
 
 } // namespace detail
-
-/** Print an informational message (visible at LogLevel::Info). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::emit(LogLevel::Info, detail::format(args...));
-}
-
-/** Print a debug message (visible at LogLevel::Debug). */
-template <typename... Args>
-void
-debug(Args &&...args)
-{
-    detail::emit(LogLevel::Debug, detail::format(args...));
-}
-
-/** Print a warning: questionable but survivable behaviour. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::emit(LogLevel::Warn, detail::format(args...));
-}
 
 /** Abort on a violated internal invariant (a ctamem bug). */
 [[noreturn]] void panicImpl(const char *file, int line,

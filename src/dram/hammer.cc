@@ -261,7 +261,6 @@ RowHammerEngine::disturbDeviceRow(std::uint64_t bank,
     const FaultModel &faults = module_.faults();
     const bool full = intensity >= doubleSidedIntensity;
     const bool single = intensity == singleSidedIntensity;
-    const bool emit = recordEvents_ || sink_ != nullptr;
 
     for (const MaskWord &mw : profile.words) {
         const Addr waddr = profile.base + mw.word * 8ULL;
@@ -285,17 +284,13 @@ RowHammerEngine::disturbDeviceRow(std::uint64_t bank,
         store.writeU64(waddr, (stored & ~f10) | f01);
         result.flips10 += std::popcount(f10);
         result.flips01 += std::popcount(f01);
-        if (emit) {
+        if (sink_) {
             for (std::uint64_t rest = flips; rest; rest &= rest - 1) {
                 const unsigned k = std::countr_zero(rest);
-                const FlipEvent event{
+                sink_->push_back(FlipEvent{
                     waddr + (k >> 3), k & 7u,
                     (f10 >> k) & 1 ? FlipDirection::OneToZero :
-                                     FlipDirection::ZeroToOne};
-                if (recordEvents_)
-                    result.events.push_back(event);
-                if (sink_)
-                    sink_->push_back(event);
+                                     FlipDirection::ZeroToOne});
             }
         }
     }

@@ -84,17 +84,14 @@ struct FlipEvent
     FlipDirection dir;  //!< direction the value moved
 };
 
-/** Outcome of one hammer pass. */
+/**
+ * Outcome of one hammer pass.  Individual flips go to the engine's
+ * event sink (RowHammerEngine::setEventSink), when one is set.
+ */
 struct HammerResult
 {
     std::uint64_t flips10 = 0; //!< '1'->'0' flips applied
     std::uint64_t flips01 = 0; //!< '0'->'1' flips applied
-    /**
-     * Individual flips, populated only when the engine's event
-     * recording is on (RowHammerEngine::setRecordEvents) — campaign
-     * hot loops skip the per-pass vector entirely.
-     */
-    std::vector<FlipEvent> events;
     bool suppressed = false;   //!< a mitigation refreshed the victims
 
     std::uint64_t total() const { return flips10 + flips01; }
@@ -251,15 +248,12 @@ class RowHammerEngine
 
     /** @name Flip-event recording (opt-in)
      *
-     * Recording is off by default: campaign loops only consume flip
-     * *counts*, so the per-pass event vector would be pure overhead.
-     * Tests and tools that inspect individual flips turn it on; an
-     * event sink additionally accumulates every flip across passes
-     * (the Drammer templating scan and attack_lab use it).
+     * No sink by default: campaign loops only consume flip *counts*.
+     * Tools and tests that inspect individual flips set a sink, and
+     * the engine appends every flip of every pass to it (the Drammer
+     * templating scan and attack_lab use it).
      */
     /** @{ */
-    void setRecordEvents(bool record) { recordEvents_ = record; }
-    bool recordEvents() const { return recordEvents_; }
     void setEventSink(std::vector<FlipEvent> *sink) { sink_ = sink; }
     std::vector<FlipEvent> *eventSink() const { return sink_; }
     /** @} */
@@ -391,7 +385,6 @@ class RowHammerEngine
                        std::shared_ptr<const RowVulnProfile>>
         profiles_;
     std::vector<std::uint64_t> scanBuffer_; //!< bulk-scan scratch
-    bool recordEvents_ = false;
     std::vector<FlipEvent> *sink_ = nullptr;
 
     // Timed-path state.

@@ -63,6 +63,16 @@ asUnsigned(const Json &j)
     return static_cast<unsigned>(value);
 }
 
+/** A probability: a number in [0, 1]; the error names @p key. */
+double
+asProbability(const Json &j, const char *key)
+{
+    const double value = j.asDouble();
+    if (!(value >= 0.0 && value <= 1.0))
+        throw JsonError(std::string(key) + " must be in [0, 1]");
+    return value;
+}
+
 Json
 fuzzToJson(const fuzz::FuzzParams &params)
 {
@@ -169,7 +179,7 @@ machineConfigFromJson(const Json &j, const MachineConfig &base)
         else if (key == "cellPeriod")
             config.cellPeriod = value.asU64();
         else if (key == "pf")
-            config.pf = value.asDouble();
+            config.pf = asProbability(value, "pf");
         else if (key == "seed")
             config.seed = value.asU64();
         else if (key == "defense")
@@ -183,7 +193,8 @@ machineConfigFromJson(const Json &j, const MachineConfig &base)
         else if (key == "refreshBoostFactor")
             config.refreshBoostFactor = asUnsigned(value);
         else if (key == "paraProbability")
-            config.paraProbability = value.asDouble();
+            config.paraProbability =
+                asProbability(value, "paraProbability");
         else if (key == "anvilThreshold")
             config.anvilThreshold = value.asU64();
         else if (key == "softTrrThreshold")

@@ -67,33 +67,6 @@ attackTime()
     return campaign;
 }
 
-Campaign
-hardened()
-{
-    Campaign campaign;
-    campaign.addGrid(configsFor({DefenseKind::Cta,
-                                 DefenseKind::CtaRestricted,
-                                 DefenseKind::SoftTrr}),
-                     table1Attacks());
-    return campaign;
-}
-
-Campaign
-pfAblation()
-{
-    std::vector<MachineConfig> configs;
-    for (const double pf : {1e-4, 1e-3, 1e-2}) {
-        MachineConfig config;
-        config.defense = DefenseKind::Cta;
-        config.pf = pf;
-        configs.push_back(config);
-    }
-    Campaign campaign;
-    campaign.addGrid(configs, {AttackKind::ProjectZero,
-                               AttackKind::Algorithm1});
-    return campaign;
-}
-
 std::vector<PricingPoint>
 pricingGrid()
 {

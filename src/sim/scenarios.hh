@@ -4,12 +4,12 @@
  * and campaign grids the benches, examples and checked-in manifests
  * all draw from.
  *
- * Each preset campaign here has a matching manifest under
- * `scenarios/` at the repo root; the scenario tests assert the two
- * stay cell-for-cell identical, so editing a preset means editing its
- * manifest too (and vice versa).  Benches render from these presets
- * instead of hand-rolling their own defense/attack vectors, keeping
- * the printed tables and the manifests in lockstep.
+ * The Table-1 grid (paperDefault()) has a matching manifest,
+ * `scenarios/paper-default.json`; a scenario test asserts the two
+ * stay cell-for-cell identical, so editing one means editing the
+ * other.  Every other checked-in manifest is its experiment's only
+ * definition.  Benches render from these presets instead of
+ * hand-rolling their own defense/attack vectors.
  */
 
 #ifndef CTAMEM_SIM_SCENARIOS_HH
@@ -46,21 +46,6 @@ Campaign paperDefault();
  * and CTA machines against the three escalation attacks.
  */
 Campaign attackTime();
-
-/**
- * Hardened stack: the CTA variants plus the SoftTRR software
- * mitigation against every attack — the programmatic twin of
- * `scenarios/hardened.json`, and the registration-only proof that
- * SoftTRR rides in Table-1 style sweeps by name.
- */
-Campaign hardened();
-
-/**
- * Error-rate ablation: CTA machines across three Pf decades against
- * the PTE-based attacks — the programmatic twin of
- * `scenarios/ablation.json`.
- */
-Campaign pfAblation();
 
 /** @name Full-scale Algorithm-1 pricing grid (bench_attack_time) */
 /** @{ */

@@ -46,7 +46,7 @@ scanRowScalar(DramModule &module, std::uint64_t bank,
 void
 disturbScalar(DramModule &module, std::uint64_t bank,
               std::uint64_t device_row, double intensity,
-              HammerResult &result)
+              ScalarResult &result)
 {
     const std::uint64_t logical = module.logicalRow(bank, device_row);
     if (logical == ~0ULL)
@@ -79,7 +79,7 @@ disturbScalar(DramModule &module, std::uint64_t bank,
 
 } // namespace
 
-HammerResult
+ScalarResult
 hammerRowScalar(DramModule &module, std::uint64_t bank,
                 std::uint64_t row)
 {
@@ -87,7 +87,7 @@ hammerRowScalar(DramModule &module, std::uint64_t bank,
     if (bank >= geom.banks() || row >= geom.rowsPerBank())
         fatal("hammerRowScalar: row out of range");
 
-    HammerResult result;
+    ScalarResult result;
     const std::uint64_t aggressor = module.deviceRow(bank, row);
     if (aggressor > 0)
         disturbScalar(module, bank, aggressor - 1,
@@ -98,7 +98,7 @@ hammerRowScalar(DramModule &module, std::uint64_t bank,
     return result;
 }
 
-HammerResult
+ScalarResult
 hammerDoubleSidedScalar(DramModule &module, std::uint64_t bank,
                         std::uint64_t victim_row)
 {
@@ -110,7 +110,7 @@ hammerDoubleSidedScalar(DramModule &module, std::uint64_t bank,
     if (victim == 0 || victim + 1 >= geom.rowsPerBank())
         return hammerRowScalar(module, bank, victim_row);
 
-    HammerResult result;
+    ScalarResult result;
     disturbScalar(module, bank, victim,
                   RowHammerEngine::doubleSidedIntensity, result);
     if (victim >= 2)

@@ -10,6 +10,7 @@
 #define CTAMEM_TESTS_HAMMER_REFERENCE_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "dram/hammer.hh"
 #include "dram/module.hh"
@@ -26,9 +27,17 @@ struct VulnerableBit
 
 namespace reference {
 
-HammerResult hammerRowScalar(DramModule &module, std::uint64_t bank,
+/** One scalar pass: its flip counts and every flip, in scan order. */
+struct ScalarResult
+{
+    std::uint64_t flips10 = 0;
+    std::uint64_t flips01 = 0;
+    std::vector<FlipEvent> events;
+};
+
+ScalarResult hammerRowScalar(DramModule &module, std::uint64_t bank,
                              std::uint64_t row);
-HammerResult hammerDoubleSidedScalar(DramModule &module,
+ScalarResult hammerDoubleSidedScalar(DramModule &module,
                                      std::uint64_t bank,
                                      std::uint64_t victim_row);
 

@@ -10,7 +10,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/bench_report.hh"
 #include "common/bitops.hh"
 #include "common/combinatorics.hh"
 #include "common/log.hh"
@@ -286,26 +285,6 @@ TEST(Stats, StatGroupHandles)
     g.reset();
     EXPECT_EQ(g.at(a).value(), 0u);
     EXPECT_EQ(g.at(b).value(), 0u);
-}
-
-TEST(BenchReport, EmitsSchemaJson)
-{
-    BenchReport report;
-    report.add("walks", 1.5e6, "walks/s", 1000);
-    report.add("sweep", 0.25, "s", 1);
-    report.add("walks", 2e6, "walks/s", 2000); // overwrite
-
-    std::ostringstream os;
-    report.writeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"walks\": {\"value\": 2000000.0, "
-                        "\"unit\": \"walks/s\", \"iterations\": "
-                        "2000}"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"sweep\""), std::string::npos);
-    EXPECT_EQ(report.entries().size(), 2u);
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json[json.size() - 2], '}');
 }
 
 TEST(Log, FatalThrows)

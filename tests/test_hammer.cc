@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <vector>
 
 #include "dram/hammer.hh"
 #include "dram/module.hh"
@@ -43,7 +44,8 @@ TEST(Hammer, TrueCellVictimsFlipDownOnly)
 {
     DramModule module(hammerConfig());
     RowHammerEngine engine(module);
-    engine.setRecordEvents(true); // this test inspects the flip list
+    std::vector<FlipEvent> events; // this test inspects the flip list
+    engine.setEventSink(&events);
     // The disturbance reaches the victim (row 1) and the outer
     // neighbours of the aggressors (row 3); fill them all with ones.
     for (std::uint64_t row = 0; row <= 3; ++row)
@@ -53,7 +55,7 @@ TEST(Hammer, TrueCellVictimsFlipDownOnly)
     const HammerResult result = engine.hammerDoubleSided(0, 1);
     EXPECT_GT(result.flips10, 0u);
     EXPECT_EQ(result.flips01, 0u); // all-ones data: only 1->0 possible
-    for (const FlipEvent &event : result.events)
+    for (const FlipEvent &event : events)
         EXPECT_EQ(event.dir, FlipDirection::OneToZero);
 }
 
@@ -115,9 +117,11 @@ TEST(Hammer, TemplatingIsReproducible)
     auto run = [] {
         DramModule module(hammerConfig());
         RowHammerEngine engine(module);
-        engine.setRecordEvents(true);
+        std::vector<FlipEvent> events;
+        engine.setEventSink(&events);
         fillRow(module, 1, 0xff);
-        return engine.hammerDoubleSided(0, 1).events;
+        engine.hammerDoubleSided(0, 1);
+        return events;
     };
     const auto a = run();
     const auto b = run();
@@ -137,12 +141,14 @@ TEST(Hammer, DifferentSeedDifferentTemplate)
     DramModule module_b(config_b);
     RowHammerEngine engine_a(module_a);
     RowHammerEngine engine_b(module_b);
-    engine_a.setRecordEvents(true);
-    engine_b.setRecordEvents(true);
+    std::vector<FlipEvent> a;
+    std::vector<FlipEvent> b;
+    engine_a.setEventSink(&a);
+    engine_b.setEventSink(&b);
     fillRow(module_a, 1, 0xff);
     fillRow(module_b, 1, 0xff);
-    const auto a = engine_a.hammerDoubleSided(0, 1).events;
-    const auto b = engine_b.hammerDoubleSided(0, 1).events;
+    engine_a.hammerDoubleSided(0, 1);
+    engine_b.hammerDoubleSided(0, 1);
     bool identical = a.size() == b.size();
     for (std::size_t i = 0; identical && i < a.size(); ++i)
         identical = a[i].addr == b[i].addr && a[i].bit == b[i].bit;
@@ -218,7 +224,8 @@ TEST(Hammer, RemappedRowMovesVictims)
     config.cellMap = CellTypeMap::uniform(CellType::True);
     DramModule module(config);
     RowHammerEngine engine(module);
-    engine.setRecordEvents(true);
+    std::vector<FlipEvent> events;
+    engine.setEventSink(&events);
 
     // Remap logical row 100 to device row 200.
     module.remapRow(0, 100, 200);
@@ -227,9 +234,9 @@ TEST(Hammer, RemappedRowMovesVictims)
     fillRow(module, 99, 0xff);
     fillRow(module, 101, 0xff);
 
-    const HammerResult result = engine.hammerRow(0, 100);
+    engine.hammerRow(0, 100);
     // Victims are device rows 199/201, not 99/101.
-    for (const FlipEvent &event : result.events) {
+    for (const FlipEvent &event : events) {
         const std::uint64_t row =
             event.addr / module.geometry().rowBytes();
         EXPECT_TRUE(row == 199 || row == 201)

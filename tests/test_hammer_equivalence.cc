@@ -181,7 +181,8 @@ TEST(HammerEquivalence, RandomizedModulesMatchScalarReference)
         DramModule masked(equivConfig(seed, pf));
         DramModule scalar(equivConfig(seed, pf));
         RowHammerEngine engine(masked);
-        engine.setRecordEvents(true);
+        std::vector<FlipEvent> events;
+        engine.setEventSink(&events);
 
         const std::uint64_t bank = round % 2;
         const std::uint64_t victim = 3 + round; // span stays in range
@@ -196,12 +197,12 @@ TEST(HammerEquivalence, RandomizedModulesMatchScalarReference)
 
         const HammerResult fast = engine.hammerDoubleSided(bank,
                                                            victim);
-        const HammerResult ref =
+        const reference::ScalarResult ref =
             reference::hammerDoubleSidedScalar(scalar, bank, victim);
 
         EXPECT_EQ(fast.flips10, ref.flips10) << "round " << round;
         EXPECT_EQ(fast.flips01, ref.flips01) << "round " << round;
-        EXPECT_EQ(canonical(fast.events), canonical(ref.events))
+        EXPECT_EQ(canonical(events), canonical(ref.events))
             << "round " << round;
         expectStoresEqual(masked, scalar);
     }
@@ -212,7 +213,8 @@ TEST(HammerEquivalence, SingleSidedAndRepeatedPassesMatch)
     DramModule masked(equivConfig(0xabcd, 1e-2));
     DramModule scalar(equivConfig(0xabcd, 1e-2));
     RowHammerEngine engine(masked);
-    engine.setRecordEvents(true);
+    std::vector<FlipEvent> events;
+    engine.setEventSink(&events);
     std::mt19937_64 patterns(0xe9002);
     for (std::uint64_t row = 4; row <= 8; ++row)
         fillRowRandom(masked, scalar, 0, row, patterns());
@@ -220,12 +222,13 @@ TEST(HammerEquivalence, SingleSidedAndRepeatedPassesMatch)
     // Repeated passes consume flippable cells: later passes must see
     // the same shrinking flip set in both implementations.
     for (int pass = 0; pass < 3; ++pass) {
+        events.clear();
         const HammerResult fast = engine.hammerRow(0, 6);
-        const HammerResult ref =
+        const reference::ScalarResult ref =
             reference::hammerRowScalar(scalar, 0, 6);
         EXPECT_EQ(fast.flips10, ref.flips10) << "pass " << pass;
         EXPECT_EQ(fast.flips01, ref.flips01) << "pass " << pass;
-        EXPECT_EQ(canonical(fast.events), canonical(ref.events));
+        EXPECT_EQ(canonical(events), canonical(ref.events));
         if (pass > 0)
             EXPECT_EQ(fast.total(), 0u)
                 << "single-sided flips exhaust after one pass";
@@ -242,17 +245,18 @@ TEST(HammerEquivalence, RemappedRowsStayEquivalent)
     masked.remapRow(0, 2, 10);
     scalar.remapRow(0, 2, 10);
     RowHammerEngine engine(masked);
-    engine.setRecordEvents(true);
+    std::vector<FlipEvent> events;
+    engine.setEventSink(&events);
     std::mt19937_64 patterns(0xe9003);
     for (std::uint64_t row = 0; row <= 12; ++row)
         fillRowRandom(masked, scalar, 0, row, patterns());
 
     const HammerResult fast = engine.hammerDoubleSided(0, 2);
-    const HammerResult ref =
+    const reference::ScalarResult ref =
         reference::hammerDoubleSidedScalar(scalar, 0, 2);
     EXPECT_EQ(fast.flips10, ref.flips10);
     EXPECT_EQ(fast.flips01, ref.flips01);
-    EXPECT_EQ(canonical(fast.events), canonical(ref.events));
+    EXPECT_EQ(canonical(events), canonical(ref.events));
     expectStoresEqual(masked, scalar);
 }
 

@@ -535,15 +535,25 @@ TEST(Service, BadManifestsGetErrorFrames)
     Json noManifest = Json::object();
     noManifest.set("type", std::string("submit"))
         .set("id", std::uint64_t{3});
+    Json badProbability = tinyManifest();
+    Json base = badProbability.at("base");
+    base.set("pf", 7.5);
+    badProbability.set("base", std::move(base));
 
     const auto responses = roundTrip(
-        service, {submitRequest(badVersion, 2), noManifest});
-    ASSERT_EQ(responses.size(), 2u);
+        service, {submitRequest(badVersion, 2), noManifest,
+                  submitRequest(badProbability, 4)});
+    ASSERT_EQ(responses.size(), 3u);
     EXPECT_EQ(responses[0].at("type").asString(), "error");
     EXPECT_NE(responses[0].at("message").asString().find(
                   "schema_version"),
               std::string::npos);
     EXPECT_EQ(responses[1].at("type").asString(), "error");
+    EXPECT_EQ(responses[2].at("type").asString(), "error");
+    EXPECT_NE(responses[2].at("message").asString().find("pf"),
+              std::string::npos);
+    // Rejected before anything booted.
+    EXPECT_EQ(service.counters().cellsExecuted, 0u);
 }
 
 TEST(Service, ShutdownAnswersByeAndStops)
