@@ -6,8 +6,8 @@
  * pressure table's edge cases, the TRR-sampler arms-race acceptance
  * property (uniform suppressed, evolved pattern flips cells),
  * thread-count determinism of the evolutionary search, pinned search
- * outcomes, work and flip-event streams, victim-only evaluation priming,
- * and the manifest plumbing of the fuzz block.
+ * outcomes, search work and flip-event streams, victim-only evaluation
+ * priming, and the manifest plumbing of the fuzz block.
  */
 
 #include <gtest/gtest.h>
@@ -414,11 +414,11 @@ TEST(PatternFuzzer, SearchWorkIsPinned)
     // A serial search asks the shared row-profile cache only for the
     // rows its patterns disturb.  Counting hits and misses alike keeps
     // the ceiling independent of what an earlier test left cached.
+    const fuzz::FuzzParams params = armsRaceParams();
     const dram::ProfileCacheStats before = dram::profileCacheStats();
     const fuzz::FuzzOutcome outcome =
-        fuzz::PatternFuzzer(armsRaceTarget(), armsRaceParams()).run();
+        fuzz::PatternFuzzer(armsRaceTarget(), params).run();
     const dram::ProfileCacheStats after = dram::profileCacheStats();
-    const fuzz::FuzzParams params = armsRaceParams();
     EXPECT_EQ(outcome.patternsEvaluated,
               params.population * params.generations);
     EXPECT_LE(after.hits - before.hits + after.misses - before.misses,
