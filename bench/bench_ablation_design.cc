@@ -14,7 +14,7 @@
 
 #include "attack/pagesize_attack.hh"
 #include "common/combinatorics.hh"
-#include "cta/ptp_zone.hh"
+#include "cta/plan.hh"
 #include "dram/module.hh"
 #include "kernel/kernel.hh"
 #include "model/capacity.hh"
@@ -112,7 +112,7 @@ screeningAblation()
                   << std::setw(12)
                   << (ablation.screenPageSizeBit ? "yes" : "no")
                   << std::setw(18)
-                  << kernel.ptpZone()->screenedFrames()
+                  << kernel.ptpLayout()->screenedFrames
                   << std::setw(18)
                   << attack::outcomeName(result.outcome) << '\n';
     }

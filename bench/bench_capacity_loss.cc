@@ -10,7 +10,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "cta/ptp_zone.hh"
+#include "cta/plan.hh"
 #include "dram/module.hh"
 #include "model/capacity.hh"
 
@@ -75,14 +75,14 @@ main()
     dram::DramModule module(config);
     cta::CtaConfig cta_config;
     cta_config.ptpBytes = 2 * MiB;
-    cta::PtpZone zone(module, cta_config);
+    const cta::PtpLayout zone = cta::planLayout(module, cta_config);
     const CapacityLoss analytic = analyzeCapacityLoss(
         config.cellMap, config.capacity, cta_config.ptpBytes);
     std::cout << "\nzone-builder cross-check (256MB module): built "
-              << zone.skippedAntiBytes() << " vs analytic "
+              << zone.skippedAntiBytes << " vs analytic "
               << analytic.skippedAntiBytes << " bytes lost, LWM "
-              << zone.lowWaterMark() << " vs "
+              << zone.lowWaterMark << " vs "
               << analytic.lowWaterMark << '\n';
-    return zone.skippedAntiBytes() == analytic.skippedAntiBytes ? 0 :
+    return zone.skippedAntiBytes == analytic.skippedAntiBytes ? 0 :
                                                                   1;
 }

@@ -18,7 +18,7 @@
 
 #include "dram/hammer.hh"
 #include "dram/module.hh"
-#include "paging/pte.hh"
+#include "paging/arch.hh"
 
 namespace {
 
@@ -63,7 +63,7 @@ runSeries(dram::CellType zone_cells, double pf, std::uint64_t rows)
             const Pfn target = addrToPfn(
                 (slot * 4096 + row * 65536) % lwm);
             const std::uint64_t raw =
-                paging::Pte::make(target, flags).raw();
+                paging::kX86_64.makeLeaf(target, flags, 1);
             module.writeU64(base + slot * 8, raw);
             before.emplace(base + slot * 8, raw);
         }
@@ -79,13 +79,12 @@ runSeries(dram::CellType zone_cells, double pf, std::uint64_t rows)
         if (new_raw == old_raw)
             continue;
         ++series.corrupted;
-        const paging::Pte old_pte(old_raw);
-        const paging::Pte new_pte(new_raw);
-        if (new_pte.pfn() < old_pte.pfn())
+        const paging::Arch &x86 = paging::kX86_64;
+        if (x86.pfn(new_raw) < x86.pfn(old_raw))
             ++series.movedDown;
-        else if (new_pte.pfn() > old_pte.pfn())
+        else if (x86.pfn(new_raw) > x86.pfn(old_raw))
             ++series.movedUp;
-        if (new_pte.present() && pfnToAddr(new_pte.pfn()) >= lwm)
+        if (x86.present(new_raw) && pfnToAddr(x86.pfn(new_raw)) >= lwm)
             ++series.reachedZone;
     }
     return series;

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "attack/registry.hh"
+#include "common/log.hh"
 #include "defense/registry.hh"
 #include "fuzz/pattern.hh"
 #include "paging/arch.hh"
@@ -215,7 +216,16 @@ runScenario(const std::string &path, unsigned jobs,
               << " cells)\n\n";
 
     runtime::ThreadPool pool(jobs);
-    const sim::CampaignReport report = campaign.run(pool);
+    sim::CampaignReport report;
+    try {
+        report = campaign.run(pool);
+    } catch (const FatalError &err) {
+        // A cell whose machine cannot boot (e.g. a ZONE_PTP the
+        // module's true cells cannot supply).
+        std::cerr << "attack_lab: " << path << ": " << err.what()
+                  << '\n';
+        return 1;
+    }
     printCellTable(report);
     printSweepFooter(report, pool);
     if (!report_path.empty() && !writeReport(report, report_path))
@@ -305,11 +315,11 @@ main(int argc, char **argv)
               << paging::resolveArch(config.arch, config.granule).name
               << '\n';
     sim::Machine machine(config);
-    if (const cta::PtpZone *ptp = machine.kernel().ptpZone()) {
-        std::cout << "ZONE_PTP: " << ptp->trueBytes() / MiB
+    if (const cta::PtpLayout *ptp = machine.kernel().ptpLayout()) {
+        std::cout << "ZONE_PTP: " << ptp->trueBytes / MiB
                   << " MiB true-cells, LWM=0x" << std::hex
-                  << ptp->lowWaterMark() << std::dec << ", "
-                  << ptp->skippedAntiBytes() / MiB
+                  << ptp->lowWaterMark << std::dec << ", "
+                  << ptp->skippedAntiBytes / MiB
                   << " MiB anti skipped\n";
     }
 
@@ -345,7 +355,7 @@ main(int argc, char **argv)
                   << machine.observer()->name() << ")\n";
     }
     const cta::TheoremAudit audit = machine.kernel().auditTheorem();
-    if (machine.kernel().ptpZone()) {
+    if (machine.kernel().ptpLayout()) {
         std::cout << "theorem audit:  "
                   << (audit.holds() ? "holds" : "VIOLATED") << '\n';
     }

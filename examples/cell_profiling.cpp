@@ -11,7 +11,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "cta/ptp_zone.hh"
+#include "cta/plan.hh"
 #include "dram/module.hh"
 #include "profile/cell_profiler.hh"
 #include "profile/retention_profiler.hh"
@@ -60,23 +60,23 @@ main()
     // -- 3. ZONE_PTP construction ----------------------------------
     cta::CtaConfig cta_config;
     cta_config.ptpBytes = 2 * MiB;
-    cta::PtpZone zone(module, cta_config);
+    const cta::PtpLayout zone = cta::planLayout(module, cta_config);
     std::cout << "\nZONE_PTP built from the profile:\n"
-              << "  true-cell bytes: " << zone.trueBytes() / MiB
-              << " MiB in " << zone.subZones().size()
+              << "  true-cell bytes: " << zone.trueBytes / MiB
+              << " MiB in " << zone.spans.size()
               << " sub-zone(s)\n"
               << "  low water mark:  0x" << std::hex
-              << zone.lowWaterMark() << std::dec << '\n'
+              << zone.lowWaterMark << std::dec << '\n'
               << "  capacity lost:   "
-              << zone.skippedAntiBytes() / MiB << " MiB ("
+              << zone.skippedAntiBytes / MiB << " MiB ("
               << std::fixed << std::setprecision(2)
-              << 100.0 * static_cast<double>(zone.skippedAntiBytes()) /
+              << 100.0 * static_cast<double>(zone.skippedAntiBytes) /
                      static_cast<double>(config.capacity)
               << "% of the module)\n";
 
     // Every sub-zone row must have profiled as true-cells.
     bool consistent = true;
-    for (const mm::FrameSpan &span : zone.subZones()) {
+    for (const mm::FrameSpan &span : zone.spans) {
         for (Pfn pfn = span.basePfn; pfn < span.endPfn();
              pfn += config.rowBytes / pageSize) {
             const dram::Location loc = module.locate(pfnToAddr(pfn));

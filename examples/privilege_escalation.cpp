@@ -71,7 +71,7 @@ runScenario(bool with_cta)
               << kernel.pageTableBytes() / KiB
               << " KiB of page tables\n";
     if (with_cta) {
-        const Addr lwm = kernel.ptpZone()->lowWaterMark();
+        const Addr lwm = kernel.ptpLayout()->lowWaterMark;
         std::size_t above = 0;
         for (const auto &[pfn, level] : kernel.pageTableFrames())
             above += pfnToAddr(pfn) >= lwm;
@@ -108,8 +108,7 @@ runScenario(bool with_cta)
               << '\n';
 
     // -- Step 4: escalate ---------------------------------------
-    const bool root = attack::escalate(kernel, pid, *self_ref,
-                                       mappings, 64 * KiB);
+    const bool root = attack::escalate(kernel, pid, *self_ref);
     std::cout << "step 4: crafted PTEs through the exposed table -> "
               << (root ? "read the kernel secret: ROOT" : "failed")
               << '\n';

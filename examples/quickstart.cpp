@@ -41,11 +41,11 @@ main()
     config.ptpBytes = 4 * MiB;
     Machine protected_machine(config);
 
-    const cta::PtpZone *zone = protected_machine.kernel().ptpZone();
-    std::cout << "ZONE_PTP: " << zone->trueBytes() / MiB
+    const cta::PtpLayout *zone = protected_machine.kernel().ptpLayout();
+    std::cout << "ZONE_PTP: " << zone->trueBytes / MiB
               << " MiB of true-cells above the low water mark at 0x"
-              << std::hex << zone->lowWaterMark() << std::dec << " ("
-              << zone->skippedAntiBytes() / MiB
+              << std::hex << zone->lowWaterMark << std::dec << " ("
+              << zone->skippedAntiBytes / MiB
               << " MiB of anti-cells skipped)\n";
 
     const attack::AttackResult after =

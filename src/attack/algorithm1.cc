@@ -17,7 +17,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
               const Algorithm1Config &config,
               Algorithm1Evidence *evidence)
 {
-    const cta::PtpZone *ptp = kernel.ptpZone();
+    const cta::PtpLayout *ptp = kernel.ptpLayout();
     if (!ptp)
         fatal("Algorithm 1 targets a CTA system; boot with "
               "AllocPolicy::Cta");
@@ -40,7 +40,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
     const paging::Arch &arch = kernel.arch();
     std::map<Addr, std::uint64_t> before;
     for (const auto &[pfn, level] : kernel.pageTableFrames()) {
-        if (level != 1 || !ptp->contains(pfn))
+        if (level != 1)
             continue;
         for (std::uint64_t slot = 0; slot < arch.entriesPerTable();
              ++slot) {
@@ -53,7 +53,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
 
     // Step (2): hammer every row of ZONE_PTP (repeatedly translating
     // through PTEs in a row, TLB flushed, activates that row).
-    for (const mm::FrameSpan &span : ptp->subZones()) {
+    for (const mm::FrameSpan &span : ptp->spans) {
         const Addr base = pfnToAddr(span.basePfn);
         const Addr end = pfnToAddr(span.endPfn());
         const std::uint64_t row_bytes =
@@ -75,7 +75,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
     // still charged in full below.
     Algorithm1Evidence local;
     local.ptesBefore = before.size();
-    const Addr lwm = ptp->lowWaterMark();
+    const Addr lwm = ptp->lowWaterMark;
     const std::uint64_t row_bytes =
         kernel.dram().geometry().rowBytes();
     const dram::RowVulnProfile *profile = nullptr;
@@ -120,8 +120,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
     if (local.selfReferences > 0) {
         auto self_ref =
             detectSelfReference(kernel, pid, mappings, 64 * KiB);
-        if (self_ref &&
-            escalate(kernel, pid, *self_ref, mappings, 64 * KiB)) {
+        if (self_ref && escalate(kernel, pid, *self_ref)) {
             result.outcome = Outcome::Escalated;
             result.detail = "CTA breached (statistically expected in "
                             "~1 of 2e5 systems)";

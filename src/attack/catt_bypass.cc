@@ -155,8 +155,7 @@ runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine,
     if (self_ref) {
         ++result.selfReferences;
         result.outcome = Outcome::SelfReference;
-        if (escalate(kernel, pid, *self_ref, mappings,
-                     config.bytesPerMapping)) {
+        if (escalate(kernel, pid, *self_ref)) {
             result.outcome = Outcome::Escalated;
             result.detail = "kernel secret read from user mode";
         }
@@ -232,8 +231,7 @@ runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
     if (self_ref) {
         ++result.selfReferences;
         result.outcome = Outcome::SelfReference;
-        if (escalate(kernel, pid, *self_ref, scan,
-                     config.bytesPerMapping)) {
+        if (escalate(kernel, pid, *self_ref)) {
             result.outcome = Outcome::Escalated;
             result.detail = "kernel secret read via double-owned "
                             "window";
@@ -242,9 +240,9 @@ runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
         result.outcome = Outcome::KernelCorrupted;
         result.detail = "page tables corrupted from double-owned rows";
     } else {
-        result.outcome = kernel.ptpZone() ? Outcome::Blocked :
-                                            Outcome::NoCorruption;
-        result.detail = kernel.ptpZone() ?
+        result.outcome = kernel.ptpLayout() ? Outcome::Blocked :
+                                              Outcome::NoCorruption;
+        result.detail = kernel.ptpLayout() ?
             "CTA: monotonic PTP pointers unreachable" :
             "no corruption induced";
     }

@@ -234,7 +234,7 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
             ++result.selfReferences;
             result.outcome = Outcome::SelfReference;
             result.detail = "deterministic self-reference";
-            if (escalate(kernel, pid, *self_ref, window, span)) {
+            if (escalate(kernel, pid, *self_ref)) {
                 result.outcome = Outcome::Escalated;
                 result.detail = "deterministic escalation via "
                                 "templated flip";
@@ -249,7 +249,7 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
     result.outcome = tried == 0 && report.templates.empty() ?
                          Outcome::NoCorruption :
                          Outcome::Blocked;
-    result.detail = kernel.ptpZone() ?
+    result.detail = kernel.ptpLayout() ?
         "CTA: page tables unreachable by templated placement" :
         "no exploitable template fired";
     result.attackTime = ctx.elapsed();

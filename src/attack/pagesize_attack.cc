@@ -14,7 +14,7 @@ AttackResult
 runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
                   const PageSizeAttackConfig &config)
 {
-    const cta::PtpZone *ptp = kernel.ptpZone();
+    const cta::PtpLayout *ptp = kernel.ptpLayout();
     if (!ptp)
         fatal("the page-size attack targets CTA systems; boot with "
               "AllocPolicy::Cta");
@@ -39,8 +39,7 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
     const std::uint64_t block_bytes = arch.levelCoverage(2);
     const std::uint64_t capacity = kernel.dram().geometry().capacity();
     const Pfn sweep_base =
-        addrToPfn(capacity - 2 * ptp->trueBytes() -
-                  ptp->skippedAntiBytes());
+        addrToPfn(capacity - 2 * ptp->trueBytes - ptp->skippedAntiBytes);
     const Pfn sweep_frames = addrToPfn(capacity) - sweep_base;
     // Place the large pages in a distant VA region: their page
     // directory is then allocated *after* the spray, several DRAM
@@ -85,7 +84,7 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
     // (root) tables to the end.
     const std::uint64_t row_bytes = kernel.dram().geometry().rowBytes();
     std::vector<Addr> rows;
-    for (const mm::FrameSpan &span : ptp->subZones()) {
+    for (const mm::FrameSpan &span : ptp->spans) {
         for (Addr row = pfnToAddr(span.basePfn);
              row < pfnToAddr(span.endPfn()); row += row_bytes) {
             rows.push_back(row);
@@ -116,15 +115,14 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
         result.outcome = Outcome::SelfReference;
         result.detail = "PS-bit flip exposed ZONE_PTP through a "
                         "crafted large page";
-        if (escalate(kernel, pid, *self_ref, large_bases,
-                     block_bytes)) {
+        if (escalate(kernel, pid, *self_ref)) {
             result.outcome = Outcome::Escalated;
             result.detail = "kernel secret read via hijacked PS bit";
         }
     } else {
         result.outcome = Outcome::Blocked;
         result.detail =
-            ptp->screenedFrames() > 0 ?
+            ptp->screenedFrames > 0 ?
                 "PS-bit screening left no exploitable PD frames" :
                 "no PS bit flipped on this module";
     }

@@ -108,8 +108,7 @@ runProjectZero(Kernel &kernel, dram::RowHammerEngine &engine,
             ++result.selfReferences;
             result.outcome = Outcome::SelfReference;
             result.detail = "self-reference at attacker vaddr";
-            if (escalate(kernel, pid, *self_ref, mappings,
-                         config.bytesPerMapping)) {
+            if (escalate(kernel, pid, *self_ref)) {
                 result.outcome = Outcome::Escalated;
                 result.detail =
                     "kernel secret read from user mode";

@@ -33,7 +33,7 @@ registerBuiltinAttacks(Registry &registry)
         AttackKind::Algorithm1, "algorithm1", "Algorithm 1 (anti-CTA)",
         [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
            const AttackParams &) {
-            if (!kernel.ptpZone()) {
+            if (!kernel.ptpLayout()) {
                 // Algorithm 1 is defined against CTA machines only;
                 // on others report the strictly stronger ProjectZero
                 // result.

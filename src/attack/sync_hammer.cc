@@ -79,8 +79,7 @@ conclude(Kernel &kernel, int pid,
             ++result.selfReferences;
             result.outcome = Outcome::SelfReference;
             result.detail = "self-reference at attacker vaddr";
-            if (escalate(kernel, pid, *self_ref, mappings,
-                         config.bytesPerMapping)) {
+            if (escalate(kernel, pid, *self_ref)) {
                 result.outcome = Outcome::Escalated;
                 result.detail = "kernel secret read from user mode";
             }

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "cta/ptp_zone.hh"
+#include "cta/plan.hh"
 
 namespace ctamem::cta {
 

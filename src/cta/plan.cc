@@ -1,9 +1,11 @@
 #include "cta/plan.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bitops.hh"
 #include "common/log.hh"
+#include "cta/indicator.hh"
 #include "mm/phys_mem.hh"
 
 namespace ctamem::cta {
@@ -39,12 +41,181 @@ subtractSpans(const std::vector<FrameSpan> &from,
     return result;
 }
 
+namespace {
+
+/** Partition the collected spans across paging levels. */
+void
+partitionLevels(PtpLayout &layout, const paging::Arch &arch)
+{
+    if (!layout.multiLevel) {
+        layout.levelSpans[1] = layout.spans;
+        return;
+    }
+
+    const std::uint64_t total = layout.trueBytes / pageSize;
+    const unsigned top = arch.levels;
+    const std::uint64_t granule_frames = arch.granuleFrames();
+    // Heuristic reservations: leaf tables dominate (each level-k
+    // table serves entriesPerTable level-(k-1) tables), so the upper
+    // levels get small slices; higher levels sit at higher physical
+    // addresses.  Slices are rounded down to whole table granules so
+    // every partition can hand out naturally aligned granule runs.
+    std::array<std::uint64_t, 5> want{};
+    std::uint64_t upper = 0;
+    for (unsigned level = top; level >= 2; --level) {
+        want[level] = level == 2
+                          ? std::min<std::uint64_t>(512, total / 8)
+                          : std::min<std::uint64_t>(256, total / 16);
+        want[level] &= ~(granule_frames - 1);
+        upper += want[level];
+    }
+    want[1] = total - upper;
+
+    // The spans are ordered top-of-memory first; carve in root-first
+    // level order so higher levels land higher.
+    const std::vector<FrameSpan> &spans = layout.spans;
+    std::size_t span_idx = 0;
+    std::uint64_t offset = 0; // frames consumed from spans[span_idx]
+    for (unsigned level = top; level >= 1; --level) {
+        std::uint64_t need = want[level];
+        while (need > 0) {
+            if (span_idx >= spans.size())
+                ctamem_panic("level partition overran ZONE_PTP");
+            const FrameSpan &span = spans[span_idx];
+            const std::uint64_t available = span.frames - offset;
+            const std::uint64_t take =
+                std::min<std::uint64_t>(need, available);
+            // Spans are stored top-first; frames are carved from the
+            // top of each span downward.
+            const Pfn base = span.basePfn + available - take;
+            layout.levelSpans[level].push_back(FrameSpan{base, take});
+            need -= take;
+            offset += take;
+            if (offset == span.frames) {
+                ++span_idx;
+                offset = 0;
+            }
+        }
+        if (level == 1)
+            break;
+    }
+}
+
+/**
+ * Drop level>=2 frames with block-bit cells that can flip the entry
+ * into a block leaf (PS 1->0 on x86; the screen direction is the
+ * same on ARM, whose type bit is block-when-clear).
+ */
+void
+screenPageSizeBits(PtpLayout &layout, const paging::Arch &arch,
+                   const dram::FaultModel &faults)
+{
+    // Only levels whose entries can carry the block marker need
+    // screening: on x86 a PD/PDPT entry whose PS bit flips '1'->'0'
+    // stops being a 2 MiB / 1 GiB leaf, on ARM a table descriptor
+    // whose type bit flips '1'->'0' *becomes* a block leaf — either
+    // way the dangerous direction in true-cells is '1'->'0' on the
+    // descriptor's block bit.  Level>=2 candidate granules with a
+    // vulnerable block-bit cell in any slot are dropped whole.
+    const std::uint64_t granule_frames = arch.granuleFrames();
+    const std::uint64_t slots = arch.entriesPerTable();
+    for (unsigned level = 2; level <= arch.levels; ++level) {
+        std::vector<FrameSpan> clean;
+        for (const FrameSpan &span : layout.levelSpans[level]) {
+            for (Pfn pfn = span.basePfn; pfn < span.endPfn();
+                 pfn += granule_frames) {
+                bool exploitable = false;
+                for (std::uint64_t slot = 0;
+                     slot < slots && !exploitable; ++slot) {
+                    const Addr addr = pfnToAddr(pfn) + slot * 8;
+                    if (faults.vulnerable(addr, arch.blockBit) &&
+                        faults.flipDirection(
+                            addr, arch.blockBit,
+                            dram::CellType::True) ==
+                            dram::FlipDirection::OneToZero) {
+                        exploitable = true;
+                    }
+                }
+                if (exploitable) {
+                    layout.screenedFrames += granule_frames;
+                } else if (!clean.empty() &&
+                           clean.back().endPfn() == pfn) {
+                    clean.back().frames += granule_frames;
+                } else {
+                    clean.push_back(FrameSpan{pfn, granule_frames});
+                }
+            }
+        }
+        layout.levelSpans[level] = std::move(clean);
+    }
+}
+
+} // namespace
+
+PtpLayout
+collectTrueCellSpans(const dram::DramModule &module,
+                     std::uint64_t bytes, const char *zone)
+{
+    const std::uint64_t row_bytes = module.geometry().rowBytes();
+    const Addr capacity = module.geometry().capacity();
+    if (bytes % row_bytes != 0) {
+        fatal(zone, " size ", bytes,
+              " must be a multiple of the DRAM row size ", row_bytes);
+    }
+    // Never let a zone eat more than half the machine; a layout that
+    // anti-cell-starved that badly is a configuration error.
+    const Addr floor = capacity / 2;
+
+    PtpLayout layout;
+    std::vector<FrameSpan> &spans = layout.spans;
+    Addr row = capacity;
+    while (layout.trueBytes < bytes) {
+        if (row < floor + row_bytes) {
+            fatal("cannot collect ", bytes, " true-cell bytes for ",
+                  zone, " above half the module; collected ",
+                  layout.trueBytes, " with ", layout.skippedAntiBytes,
+                  " anti-cell bytes skipped");
+        }
+        row -= row_bytes;
+        if (module.cellTypeAt(row) != dram::CellType::True) {
+            layout.skippedAntiBytes += row_bytes;
+            continue;
+        }
+        const Pfn base = addrToPfn(row);
+        const std::uint64_t frames = row_bytes / pageSize;
+        if (!spans.empty() && spans.back().basePfn == base + frames) {
+            // Extend the previous (higher) span downward.
+            spans.back().basePfn = base;
+            spans.back().frames += frames;
+        } else {
+            spans.push_back(FrameSpan{base, frames});
+        }
+        layout.trueBytes += row_bytes;
+    }
+    layout.lowWaterMark = row;
+    return layout;
+}
+
+PtpLayout
+planLayout(const dram::DramModule &module, const CtaConfig &config)
+{
+    PtpLayout layout =
+        collectTrueCellSpans(module, config.ptpBytes, "ZONE_PTP");
+    layout.multiLevel = config.multiLevelZones;
+    partitionLevels(layout, *config.arch);
+    if (config.screenPageSizeBit && layout.multiLevel)
+        screenPageSizeBits(layout, *config.arch, module.faults());
+    return layout;
+}
+
 CtaPlan
-buildCtaPlan(dram::DramModule &module, const CtaConfig &config)
+buildCtaPlan(const dram::DramModule &module, const CtaConfig &config)
 {
     CtaPlan plan;
-    plan.ptp = std::make_unique<PtpZone>(module, config);
-    const Addr lwm = plan.ptp->lowWaterMark();
+    plan.layout = planLayout(module, config);
+    const Addr lwm = plan.layout.lowWaterMark;
+    const PtpIndicator ind(module.geometry().capacity(),
+                           config.ptpBytes);
 
     // Standard zones stop at the low water mark (Rule 2: nothing but
     // page tables above it — the region above simply is not handed to
@@ -57,7 +228,6 @@ buildCtaPlan(dram::DramModule &module, const CtaConfig &config)
 
     // Reserve every below-LWM region whose indicator has fewer than
     // minIndicatorZeros zeros for the kernel / trusted processes.
-    const PtpIndicator &ind = plan.ptp->indicator();
     std::vector<FrameSpan> rsv;
     const std::uint64_t regions = 1ULL << ind.bits();
     const std::uint64_t region_frames = ind.regionBytes() / pageSize;

@@ -71,6 +71,23 @@ zebramZoneSpecs(const dram::Geometry &geom)
     return specs;
 }
 
+/**
+ * ZONE_PTP as zones of the kernel's PhysicalMemory: one zone per
+ * partition of @p layout — the shared zone, or one per paging level
+ * under multi-level zoning (Section 7).  Each zone's zonelist is
+ * only itself.
+ */
+void
+addPtpZones(std::vector<ZoneSpec> &specs, const cta::PtpLayout &layout)
+{
+    for (unsigned level = 1; level < layout.levelSpans.size(); ++level) {
+        if (!layout.levelSpans[level].empty()) {
+            specs.push_back(ZoneSpec{mm::ptpZone(level),
+                                     layout.levelSpans[level]});
+        }
+    }
+}
+
 } // namespace
 
 Kernel::Kernel(const KernelConfig &config) : config_(config)
@@ -85,25 +102,18 @@ Kernel::Kernel(const KernelConfig &config) : config_(config)
       case AllocPolicy::Standard:
         specs = mm::standardZoneSpecs(dram_->geometry().capacity(),
                                       dram_->geometry().capacity());
-        pteFlags_ = GfpFlags{ZoneId::Normal, false,
-                             PageKind::PageTable};
         break;
       case AllocPolicy::Cta: {
         cta::CtaPlan plan = cta::buildCtaPlan(*dram_, config_.cta);
-        ptp_ = std::move(plan.ptp);
+        ptpLayout_ = std::move(plan.layout);
         specs = std::move(plan.physSpecs);
-        pteFlags_ = mm::GFP_PTP; // unused: ptp_ serves requests
         break;
       }
       case AllocPolicy::Catt:
         specs = cattZoneSpecs(dram_->geometry());
-        pteFlags_ = GfpFlags{ZoneId::KernelRsv, true,
-                             PageKind::PageTable};
         break;
       case AllocPolicy::Zebram:
         specs = zebramZoneSpecs(dram_->geometry());
-        pteFlags_ = GfpFlags{ZoneId::Normal, false,
-                             PageKind::PageTable};
         break;
     }
 
@@ -116,29 +126,13 @@ Kernel::Kernel(const KernelConfig &config, const BootImage &image)
     config_.cta.arch = config_.arch;
     dram_ = std::make_unique<dram::DramModule>(config.dram);
 
-    // The zone specs come from the image rather than from a fresh
-    // scan — that skip is the whole point of a warm start.  Only the
-    // per-policy allocation flags are re-derived here.
-    switch (config.policy) {
-      case AllocPolicy::Standard:
-        pteFlags_ = GfpFlags{ZoneId::Normal, false,
-                             PageKind::PageTable};
-        break;
-      case AllocPolicy::Cta:
+    // The zone specs and the ZONE_PTP layout come from the image
+    // rather than from a fresh scan — that skip is the whole point of
+    // a warm start.
+    if (config.policy == AllocPolicy::Cta) {
         if (!image.ptpLayout)
             fatal("warm start: CTA policy needs a ZONE_PTP layout");
-        ptp_ = std::make_unique<cta::PtpZone>(*dram_, config_.cta,
-                                              *image.ptpLayout);
-        pteFlags_ = mm::GFP_PTP;
-        break;
-      case AllocPolicy::Catt:
-        pteFlags_ = GfpFlags{ZoneId::KernelRsv, true,
-                             PageKind::PageTable};
-        break;
-      case AllocPolicy::Zebram:
-        pteFlags_ = GfpFlags{ZoneId::Normal, false,
-                             PageKind::PageTable};
-        break;
+        ptpLayout_ = image.ptpLayout;
     }
 
     finishBoot(image.physSpecs, &image);
@@ -161,7 +155,11 @@ Kernel::finishBoot(std::vector<ZoneSpec> specs, const BootImage *image)
     ptReclaimsId_ = stats_.registerCounter("ptReclaims");
 
     bootSpecs_ = std::move(specs);
-    phys_ = std::make_unique<mm::PhysicalMemory>(*dram_, bootSpecs_);
+    std::vector<ZoneSpec> zones = bootSpecs_;
+    if (ptpLayout_)
+        addPtpZones(zones, *ptpLayout_);
+    phys_ = std::make_unique<mm::PhysicalMemory>(*dram_,
+                                                 std::move(zones));
     mmu_ = std::make_unique<paging::Mmu>(*dram_, config_.tlbEntries,
                                          *config_.arch);
 
@@ -193,8 +191,7 @@ Kernel::bootImage() const
               ptFrameLevels_.size(), " page-table frames live)");
     }
     BootImage image;
-    if (ptp_)
-        image.ptpLayout = ptp_->layout();
+    image.ptpLayout = ptpLayout_;
     image.physSpecs = bootSpecs_;
     image.secretPfn = secretPfn_;
     image.secretAddr = secretAddr_;
@@ -217,6 +214,25 @@ Kernel::dataFlags(const Process &proc, PageKind kind) const
     if (config_.policy == AllocPolicy::Catt && privileged)
         return GfpFlags{ZoneId::KernelRsv, true, kind};
     return GfpFlags{ZoneId::Normal, false, kind};
+}
+
+GfpFlags
+Kernel::pteFlags(unsigned level) const
+{
+    switch (config_.policy) {
+      case AllocPolicy::Cta: {
+        GfpFlags flags = mm::GFP_PTP;
+        if (ptpLayout_->multiLevel)
+            flags.zone = mm::ptpZone(level);
+        return flags;
+      }
+      case AllocPolicy::Catt:
+        return GfpFlags{ZoneId::KernelRsv, true, PageKind::PageTable};
+      case AllocPolicy::Standard:
+      case AllocPolicy::Zebram:
+        break;
+    }
+    return GfpFlags{ZoneId::Normal, false, PageKind::PageTable};
 }
 
 int
@@ -572,15 +588,17 @@ Kernel::flushTlb()
 std::optional<Pfn>
 Kernel::pteAllocOne(unsigned level, int pid)
 {
-    stats_.at(pteAllocsId_).increment();
-    std::optional<Pfn> pfn;
-    if (ptp_) {
-        pfn = ptp_->allocate(level);
-        if (!pfn && reclaimLeafTable())
-            pfn = ptp_->allocate(level);
-    } else {
-        pfn = phys_->allocate(pteFlags_, arch().tableOrder(), pid);
+    if (level < 1 || level > arch().levels) {
+        fatal("pteAllocOne: level must be 1..", arch().levels, " on ",
+              arch().name, ", got ", level);
     }
+    stats_.at(pteAllocsId_).increment();
+    const GfpFlags flags = pteFlags(level);
+    std::optional<Pfn> pfn =
+        phys_->allocate(flags, arch().tableOrder(), pid);
+    // ZONE_PTP pressure relief: evict a leaf table and retry once.
+    if (!pfn && ptpLayout_ && reclaimLeafTable())
+        pfn = phys_->allocate(flags, arch().tableOrder(), pid);
     if (!pfn) {
         stats_.at(pteAllocFailuresId_).increment();
         return std::nullopt;
@@ -616,10 +634,7 @@ Kernel::pteFree(Pfn pfn)
     if (it == ptFrameLevels_.end())
         ctamem_panic("pteFree: pfn ", pfn, " is not a table page");
     ptFrameLevels_.erase(it);
-    if (ptp_ && ptp_->contains(pfn))
-        ptp_->free(pfn);
-    else
-        phys_->free(pfn);
+    phys_->free(pfn);
 }
 
 unsigned
@@ -633,14 +648,14 @@ cta::TheoremAudit
 Kernel::auditTheorem() const
 {
     cta::TheoremAudit audit;
-    if (!ptp_) {
+    if (!ptpLayout_) {
         audit.tablesAboveLwm = false;
         audit.tablesInTrueCells = false;
         audit.violations.push_back(
             "no ZONE_PTP: kernel booted without the CTA policy");
         return audit;
     }
-    const Addr lwm = ptp_->lowWaterMark();
+    const Addr lwm = ptpLayout_->lowWaterMark;
     for (const auto &[pfn, level] : ptFrameLevels_) {
         const Addr base = pfnToAddr(pfn);
         if (base < lwm) {

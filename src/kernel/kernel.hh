@@ -124,8 +124,12 @@ class Kernel
      * table pages are runs of granuleFrames() 4 KiB frames.
      */
     std::uint64_t pageBytes() const { return arch().granuleBytes(); }
-    cta::PtpZone *ptpZone() { return ptp_.get(); }
-    const cta::PtpZone *ptpZone() const { return ptp_.get(); }
+
+    /** The ZONE_PTP layout, or nullptr unless the policy is Cta. */
+    const cta::PtpLayout *ptpLayout() const
+    {
+        return ptpLayout_ ? &*ptpLayout_ : nullptr;
+    }
     const KernelConfig &config() const { return config_; }
     AllocPolicy policy() const { return config_.policy; }
     /** @} */
@@ -195,10 +199,12 @@ class Kernel
      * Allocate one zeroed page-table page for a level-@p level table
      * of process @p pid.
      *
-     * This is the simulated pte_alloc_one: under the CTA policy the
-     * request goes to ZONE_PTP with __GFP_PTP semantics (no
-     * fallback); under every other policy it goes to the policy's
-     * kernel zone.
+     * This is the simulated pte_alloc_one: one PhysicalMemory
+     * request.  Under the CTA policy it carries GFP_PTP (ZONE_PTP
+     * only, never falling back; the level's own partition under
+     * multi-level zoning), and an exhausted ZONE_PTP evicts a leaf
+     * table and retries once; under every other policy it goes to
+     * the policy's kernel zone.
      */
     std::optional<Pfn> pteAllocOne(unsigned level, int pid);
 
@@ -282,10 +288,12 @@ class Kernel
     VAddr placeVma(Process &proc, std::uint64_t length, VAddr fixed);
     mm::GfpFlags dataFlags(const Process &proc,
                            mm::PageKind kind) const;
+    /** pte_alloc_one's request for a level-@p level table. */
+    mm::GfpFlags pteFlags(unsigned level) const;
 
     KernelConfig config_;
     std::unique_ptr<dram::DramModule> dram_;
-    std::unique_ptr<cta::PtpZone> ptp_; //!< null unless policy == Cta
+    std::optional<cta::PtpLayout> ptpLayout_; //!< iff policy == Cta
     std::unique_ptr<mm::PhysicalMemory> phys_;
     std::unique_ptr<paging::Mmu> mmu_;
 
@@ -297,10 +305,8 @@ class Kernel
     /** Live page-table frames -> paging level they serve. */
     std::unordered_map<Pfn, unsigned> ptFrameLevels_;
 
-    /** GFP flags for non-CTA page-table allocation. */
-    mm::GfpFlags pteFlags_;
-
-    /** Zone specs the allocator booted with, for bootImage(). */
+    /** Zone specs the allocator booted with, ZONE_PTP aside, for
+     *  bootImage(). */
     std::vector<mm::ZoneSpec> bootSpecs_;
 
     Addr secretAddr_ = 0;

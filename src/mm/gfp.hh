@@ -6,7 +6,10 @@
  *
  * The paper's 18-line kernel change adds __GFP_PTP: "the request must
  * be fulfilled by allocating free memory in ZONE_PTP only" — i.e.
- * preferred zone Ptp with fallback disabled.
+ * preferred zone Ptp with fallback disabled.  The kernel's
+ * pte_alloc_one asks PhysicalMemory with GFP_PTP; ZONE_PTP and its
+ * per-level partitions are ordinary zones whose zonelist is only
+ * themselves.
  */
 
 #ifndef CTAMEM_MM_GFP_HH
@@ -24,11 +27,20 @@ enum class ZoneId : std::uint8_t
     Normal,    //!< 4 GiB .. top (minus carved special zones)
     KernelRsv, //!< CTA restriction: <2 zeros in the PTP indicator
     Ptp,       //!< ZONE_PTP: true-cell rows above the low water mark
+               //!< (its level-1 partition under multi-level zones)
+    PtpL2,     //!< Section 7 multi-level ZONE_PTP: level-2 tables
+    PtpL3,     //!< ... level-3 tables
+    PtpL4,     //!< ... level-4 tables
     NumZones,
 };
 
-constexpr std::uint8_t numZoneIds =
-    static_cast<std::uint8_t>(ZoneId::NumZones);
+/** The ZONE_PTP partition serving level-@p level tables. */
+constexpr ZoneId
+ptpZone(unsigned level)
+{
+    return static_cast<ZoneId>(static_cast<unsigned>(ZoneId::Ptp) +
+                               level - 1);
+}
 
 /** Human-readable zone name. */
 const char *zoneName(ZoneId id);
@@ -66,7 +78,9 @@ constexpr GfpFlags GFP_DMA{ZoneId::Dma, true, PageKind::KernelData};
 
 /**
  * The paper's new flag: page-table pages from ZONE_PTP only, never
- * falling back to lower zones (Rule 1 of Section 6.1).
+ * falling back to lower zones (Rule 1 of Section 6.1).  With
+ * multi-level zones the kernel retargets `zone` to the requesting
+ * level's partition, ptpZone(level).
  */
 constexpr GfpFlags GFP_PTP{ZoneId::Ptp, true, PageKind::PageTable};
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <span>
 
 #include "common/log.hh"
 
@@ -45,28 +46,21 @@ namespace {
 
 /**
  * Zonelist fallback order per preferred zone (Section 6.1: the x86-64
- * zonelist is NORMAL, DMA32, DMA; ZONE_PTP never serves or borrows
- * from other zones).
+ * zonelist is NORMAL, DMA32, DMA, with ZONE_KERNEL_RSV above NORMAL;
+ * each ZONE_PTP partition is a list of one — it never serves or
+ * borrows from other zones).
  */
-std::vector<ZoneId>
-fallbackChain(ZoneId preferred)
+std::span<const ZoneId>
+zonelist(ZoneId preferred)
 {
-    switch (preferred) {
-      case ZoneId::Dma:
-        return {ZoneId::Dma};
-      case ZoneId::Dma32:
-        return {ZoneId::Dma32, ZoneId::Dma};
-      case ZoneId::Normal:
-        return {ZoneId::Normal, ZoneId::Dma32, ZoneId::Dma};
-      case ZoneId::KernelRsv:
-        return {ZoneId::KernelRsv, ZoneId::Normal, ZoneId::Dma32,
-                ZoneId::Dma};
-      case ZoneId::Ptp:
-        return {ZoneId::Ptp};
-      case ZoneId::NumZones:
-        break;
-    }
-    ctamem_panic("bad preferred zone");
+    static constexpr std::array<ZoneId, 8> order{
+        ZoneId::KernelRsv, ZoneId::Normal, ZoneId::Dma32, ZoneId::Dma,
+        ZoneId::Ptp, ZoneId::PtpL2, ZoneId::PtpL3, ZoneId::PtpL4};
+    const auto downward_end = order.begin() + 4;
+    const auto it = std::find(order.begin(), order.end(), preferred);
+    if (it == order.end())
+        ctamem_panic("bad preferred zone");
+    return {it, it < downward_end ? downward_end : it + 1};
 }
 
 } // namespace
@@ -115,9 +109,8 @@ PhysicalMemory::allocate(const GfpFlags &flags, unsigned order,
                          std::int32_t owner)
 {
     stats_.at(allocsId_).increment();
-    const std::vector<ZoneId> chain = fallbackChain(flags.zone);
     bool first = true;
-    for (ZoneId id : chain) {
+    for (ZoneId id : zonelist(flags.zone)) {
         Zone *candidate = zone(id);
         if (candidate) {
             if (auto pfn = candidate->allocate(order)) {

@@ -31,8 +31,8 @@ struct PageInfo
 /**
  * Standard x86-64 zone layout over [0, top_limit):
  * ZONE_DMA [0, 16 MiB), ZONE_DMA32 [16 MiB, 4 GiB),
- * ZONE_NORMAL [4 GiB, top_limit).  A CTA zone builder passes a
- * top_limit below capacity (the low water mark) and appends its own
+ * ZONE_NORMAL [4 GiB, top_limit).  A CTA plan passes a top_limit
+ * below capacity (the low water mark); the kernel appends ZONE_PTP's
  * zones above it.
  */
 std::vector<ZoneSpec> standardZoneSpecs(std::uint64_t capacity,

@@ -13,6 +13,9 @@ zoneName(ZoneId id)
       case ZoneId::Normal: return "ZONE_NORMAL";
       case ZoneId::KernelRsv: return "ZONE_KERNEL_RSV";
       case ZoneId::Ptp: return "ZONE_PTP";
+      case ZoneId::PtpL2: return "ZONE_PTP_L2";
+      case ZoneId::PtpL3: return "ZONE_PTP_L3";
+      case ZoneId::PtpL4: return "ZONE_PTP_L4";
       case ZoneId::NumZones: break;
     }
     return "ZONE_INVALID";

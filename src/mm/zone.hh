@@ -4,10 +4,11 @@
  * managed by its own buddy allocator.
  *
  * Most zones are a single contiguous span.  ZONE_PTP is the
- * exception: the CTA zone builder decomposes it into multiple
- * sub-zones, one per contiguous *true-cell* region, skipping
- * anti-cell stripes (Figure 8 of the paper).  Allocation searches
- * sub-zones sequentially.
+ * exception: the CTA layout decomposes it into multiple sub-zones,
+ * one per contiguous *true-cell* region, skipping anti-cell stripes
+ * (Figure 8 of the paper), and under multi-level zoning into one
+ * zone per paging level.  Allocation searches sub-zones
+ * sequentially.
  */
 
 #ifndef CTAMEM_MM_ZONE_HH
@@ -72,7 +73,6 @@ class Zone
     std::uint64_t totalFrames() const;
 
     const std::vector<FrameSpan> &spans() const { return spans_; }
-    std::vector<BuddyAllocator> &subZones() { return buddies_; }
 
     /** Counters: allocs, frees, failures. */
     StatGroup &stats() { return stats_; }

@@ -16,8 +16,8 @@
  * pointer argument can be exercised on any backend whose PFN field
  * is the pointer.
  *
- * `kX86_64` is pinned bit-identical to the historical `pte.hh`
- * constants; the AArch64 descriptors follow the ARMv8-A stage-1
+ * `kX86_64` follows the Intel SDM 4-level layout (pinned bit for bit
+ * by test_arch); the AArch64 descriptors follow the ARMv8-A stage-1
  * translation-table format (DDI 0487, D8) for 4 KiB / 16 KiB /
  * 64 KiB granules.
  */
@@ -249,7 +249,7 @@ struct Arch
     }
 };
 
-/** The historical backend: bit-identical to the `pte.hh` constants. */
+/** The x86-64 backend: Intel SDM 4-level paging. */
 inline constexpr Arch kX86_64{};
 
 /** ARMv8-A, 4 KiB granule, 4 levels (48-bit VA). */

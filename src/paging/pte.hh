@@ -1,23 +1,13 @@
 /**
  * @file
- * x86-64 page-table entry layout (Intel SDM Vol. 3, 4-level paging).
- *
- * The bits that matter to the paper:
- *  - the physical frame number field (bits 12..51): the "monotonic
- *    pointer" CTA protects;
- *  - bit 7 (PS): in PDPT/PD entries, '1' means the entry maps a
- *    1 GiB / 2 MiB data page rather than pointing at a lower table
- *    (the Section 7 multi-page-size discussion);
- *  - U/S and R/W, which decide what a user-mode attacker may touch.
+ * The software view of page permissions.  How an ISA encodes them in
+ * a descriptor — for x86-64 the Intel SDM 4-level layout: PFN field
+ * in bits 12..51 (the "monotonic pointer" CTA protects), PS in bit 7,
+ * U/S and R/W in bits 2 and 1 — lives in paging::Arch (arch.hh).
  */
 
 #ifndef CTAMEM_PAGING_PTE_HH
 #define CTAMEM_PAGING_PTE_HH
-
-#include <cstdint>
-
-#include "common/bitops.hh"
-#include "common/types.hh"
 
 namespace ctamem::paging {
 
@@ -28,85 +18,6 @@ struct PageFlags
     bool user = false;
     bool noExecute = false;
 };
-
-/** One 64-bit page-table entry. */
-class Pte
-{
-  public:
-    static constexpr unsigned presentBit = 0;
-    static constexpr unsigned writableBit = 1;
-    static constexpr unsigned userBit = 2;
-    static constexpr unsigned accessedBit = 5;
-    static constexpr unsigned dirtyBit = 6;
-    static constexpr unsigned pageSizeBit = 7;
-    static constexpr unsigned nxBit = 63;
-    static constexpr unsigned pfnLo = 12;
-    static constexpr unsigned pfnHi = 51;
-
-    constexpr Pte() = default;
-    constexpr explicit Pte(std::uint64_t raw) : raw_(raw) {}
-
-    /** Build a present leaf/table entry. */
-    static Pte
-    make(Pfn pfn, const PageFlags &flags, bool page_size = false)
-    {
-        std::uint64_t raw = 0;
-        raw |= 1ULL << presentBit;
-        if (flags.writable)
-            raw |= 1ULL << writableBit;
-        if (flags.user)
-            raw |= 1ULL << userBit;
-        if (page_size)
-            raw |= 1ULL << pageSizeBit;
-        if (flags.noExecute)
-            raw |= 1ULL << nxBit;
-        raw = insertBits(raw, pfnHi, pfnLo, pfn);
-        return Pte(raw);
-    }
-
-    std::uint64_t raw() const { return raw_; }
-
-    bool present() const { return bit(raw_, presentBit); }
-    bool writable() const { return bit(raw_, writableBit); }
-    bool user() const { return bit(raw_, userBit); }
-    bool accessed() const { return bit(raw_, accessedBit); }
-    bool dirty() const { return bit(raw_, dirtyBit); }
-    bool pageSize() const { return bit(raw_, pageSizeBit); }
-    bool noExecute() const { return bit(raw_, nxBit); }
-
-    /** The physical frame number field — the monotonic pointer. */
-    Pfn pfn() const { return bits(raw_, pfnHi, pfnLo); }
-
-    void setPfn(Pfn pfn) { raw_ = insertBits(raw_, pfnHi, pfnLo, pfn); }
-    void setAccessed() { raw_ |= 1ULL << accessedBit; }
-    void setDirty() { raw_ |= 1ULL << dirtyBit; }
-
-    bool operator==(const Pte &other) const = default;
-
-  private:
-    std::uint64_t raw_ = 0;
-};
-
-/** Entries per 4 KiB page-table page. */
-constexpr std::uint64_t ptesPerPage = pageSize / sizeof(std::uint64_t);
-
-/** Number of paging levels (PML4, PDPT, PD, PT). */
-constexpr unsigned pagingLevels = 4;
-
-/** 9-bit table index of @p vaddr at @p level (4 = PML4 ... 1 = PT). */
-constexpr std::uint64_t
-tableIndex(VAddr vaddr, unsigned level)
-{
-    const unsigned shift = 12 + 9 * (level - 1);
-    return (vaddr >> shift) & 0x1ff;
-}
-
-/** Bytes mapped by one entry at @p level (4 KiB / 2 MiB / 1 GiB...). */
-constexpr std::uint64_t
-levelCoverage(unsigned level)
-{
-    return 1ULL << (12 + 9 * (level - 1));
-}
 
 } // namespace ctamem::paging
 

@@ -56,9 +56,9 @@ comparePolicies(const MachineConfig &base,
 
     if (footprint) {
         footprint->peakTableBytes = peak_tables;
-        const cta::PtpZone *ptp =
-            protected_machine.kernel().ptpZone();
-        footprint->ptpCapacityBytes = ptp ? ptp->trueBytes() : 0;
+        const cta::PtpLayout *ptp =
+            protected_machine.kernel().ptpLayout();
+        footprint->ptpCapacityBytes = ptp ? ptp->trueBytes : 0;
         footprint->pteAllocFailures =
             protected_machine.kernel().stats().value(
                 "pteAllocFailures");

@@ -1,6 +1,9 @@
 #include "sim/scenario.hh"
 
+#include <string>
+
 #include "attack/registry.hh"
+#include "common/bitops.hh"
 #include "defense/registry.hh"
 
 namespace ctamem::sim {
@@ -71,6 +74,41 @@ asProbability(const Json &j, const char *key)
     if (!(value >= 0.0 && value <= 1.0))
         throw JsonError(std::string(key) + " must be in [0, 1]");
     return value;
+}
+
+/** Throw a JsonError naming @p key unless @p ok. */
+void
+requireSize(bool ok, const char *key, const char *what,
+            std::uint64_t value)
+{
+    if (!ok) {
+        throw JsonError(std::string(key) + " must be " + what +
+                        ", got " + std::to_string(value));
+    }
+}
+
+/**
+ * The DRAM geometry and ZONE_PTP sizes a boot would reject, checked
+ * once every key is read so key order does not matter.
+ */
+void
+checkSizes(const MachineConfig &config)
+{
+    requireSize(isPowerOfTwo(config.memBytes), "memBytes",
+                "a power of two", config.memBytes);
+    requireSize(isPowerOfTwo(config.banks), "banks", "a power of two",
+                config.banks);
+    requireSize(isPowerOfTwo(config.rowBytes) &&
+                    config.rowBytes >= pageSize,
+                "rowBytes", "a power of two of at least 4 KiB",
+                config.rowBytes);
+    requireSize(isPowerOfTwo(config.ptpBytes) &&
+                    config.ptpBytes % config.rowBytes == 0 &&
+                    config.ptpBytes <= config.memBytes / 2,
+                "ptpBytes",
+                "a power of two, a multiple of rowBytes and at most "
+                "half of memBytes",
+                config.ptpBytes);
 }
 
 Json
@@ -227,6 +265,7 @@ machineConfigFromJson(const Json &j, const MachineConfig &base)
                config.granule != 64 * KiB) {
         throw JsonError("aarch64 granule must be 4, 16 or 64 KiB");
     }
+    checkSizes(config);
     return config;
 }
 

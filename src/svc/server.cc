@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "common/log.hh"
@@ -49,6 +50,8 @@ struct CampaignService::Job
     std::vector<CellResult> results;
     std::vector<char> cached;
     std::atomic<std::size_t> remaining{0};
+    /** Some cell threw: the report would miss it, so send no done. */
+    std::atomic<bool> failed{false};
     Clock::time_point start = Clock::now();
 };
 
@@ -289,23 +292,33 @@ CampaignService::handleSubmit(const Json &request, std::ostream &out)
     for (std::size_t i = 0; i < cellCount; ++i) {
         const CampaignCell cell = campaign.cells()[i];
         pool_.submit([this, job, i, cell, &out] {
-            CellOutcome outcome = runCellCached(cell);
-
-            Json frame = Json::object();
-            frame.set("type", std::string("cell"))
-                .set("id", job->id)
-                .set("index", static_cast<std::uint64_t>(i))
-                .set("cached", outcome.cached)
-                .set("result", sim::toJson(outcome.result));
+            Json frame;
+            try {
+                CellOutcome outcome = runCellCached(cell);
+                frame = Json::object();
+                frame.set("type", std::string("cell"))
+                    .set("id", job->id)
+                    .set("index", static_cast<std::uint64_t>(i))
+                    .set("cached", outcome.cached)
+                    .set("result", sim::toJson(outcome.result));
+                job->results[i] = std::move(outcome.result);
+                job->cached[i] = outcome.cached ? 1 : 0;
+            } catch (const std::exception &err) {
+                // A cell whose machine cannot boot fails its
+                // submission, never the daemon: the client learns
+                // which cell, and the in-flight count still drains.
+                job->failed = true;
+                frame = errorFrame(job->id, std::string("cell ") +
+                                                std::to_string(i) +
+                                                ": " + err.what());
+                frame.set("index", static_cast<std::uint64_t>(i));
+            }
             {
                 std::lock_guard<std::mutex> lock(outMutex_);
                 writeFrame(out, frame);
             }
 
-            job->results[i] = std::move(outcome.result);
-            job->cached[i] = outcome.cached ? 1 : 0;
-
-            if (job->remaining.fetch_sub(1) == 1) {
+            if (job->remaining.fetch_sub(1) == 1 && !job->failed) {
                 // Last cell: assemble the manifest-ordered report.
                 sim::CampaignReport report;
                 report.cells = std::move(job->results);

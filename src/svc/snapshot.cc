@@ -303,8 +303,9 @@ deserialize(const std::uint8_t *data, std::size_t size)
     snapshot.image.physSpecs.reserve(specCount);
     for (std::uint32_t i = 0; i < specCount; ++i) {
         mm::ZoneSpec spec;
+        // ZONE_PTP's zones are rebuilt from the layout, never stored.
         const std::uint8_t id = reader.u8();
-        if (id >= static_cast<std::uint8_t>(mm::ZoneId::NumZones))
+        if (id >= static_cast<std::uint8_t>(mm::ZoneId::Ptp))
             throw SnapshotError("snapshot blob names an unknown zone");
         spec.id = static_cast<mm::ZoneId>(id);
         spec.spans = reader.spanList();

@@ -19,7 +19,9 @@
  *      | {"type":"error","id":J,"message":"..."}                (bad manifest)
  *      | {"type":"accepted","id":J,"cells":N}
  *        then N x {"type":"cell","id":J,"index":i,"cached":b,"result":{...}}
- *        (in completion order), then
+ *        or, for a cell whose machine fails to boot,
+ *        {"type":"error","id":J,"index":i,"message":"..."}
+ *        (in completion order), then, unless a cell failed,
  *        {"type":"done","id":J,"report":{...}}                  (cells in
  *        manifest order — bit-identical across cold and cached runs)
  */

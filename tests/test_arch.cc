@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the paging::Arch descriptor layer: the x86-64 descriptor
- * is pinned bit-identical to the historical pte.hh constants, the
+ * is pinned to the Intel SDM bit positions and encodings, the
  * AArch64 descriptors encode ARMv8-A stage-1 formats, and one
  * map/walk/unmap workload behaves identically across every backend
  * (the cross-backend property the refactor must preserve).
@@ -17,7 +17,6 @@
 #include "dram/module.hh"
 #include "paging/address_space.hh"
 #include "paging/arch.hh"
-#include "paging/pte.hh"
 #include "paging/tlb.hh"
 #include "paging/walker.hh"
 
@@ -26,42 +25,41 @@ namespace {
 
 TEST(Arch, X86DescriptorPinsTheHistoricalLayout)
 {
-    // Every field equals its pte.hh constant — the refactor's
-    // bit-identity anchor.
-    EXPECT_EQ(kX86_64.levels, pagingLevels);
-    EXPECT_EQ(kX86_64.granuleShift, pageShift);
-    EXPECT_EQ(kX86_64.presentBit, Pte::presentBit);
-    EXPECT_EQ(kX86_64.writableBit, Pte::writableBit);
+    // Every field equals its Intel SDM (Vol. 3, 4-level paging) bit
+    // position — the bit-identity anchor of the x86-64 backend.
+    EXPECT_EQ(kX86_64.levels, 4u);
+    EXPECT_EQ(kX86_64.granuleShift, 12u);
+    EXPECT_EQ(kX86_64.presentBit, 0u);
+    EXPECT_EQ(kX86_64.writableBit, 1u);
     EXPECT_FALSE(kX86_64.writableLowActive);
-    EXPECT_EQ(kX86_64.userBit, Pte::userBit);
-    EXPECT_EQ(kX86_64.accessedBit, Pte::accessedBit);
-    EXPECT_EQ(kX86_64.dirtyBit, Pte::dirtyBit);
-    EXPECT_EQ(kX86_64.blockBit, Pte::pageSizeBit);
+    EXPECT_EQ(kX86_64.userBit, 2u);
+    EXPECT_EQ(kX86_64.accessedBit, 5u);
+    EXPECT_EQ(kX86_64.dirtyBit, 6u);
+    EXPECT_EQ(kX86_64.blockBit, 7u);
     EXPECT_FALSE(kX86_64.blockLowActive);
-    EXPECT_EQ(kX86_64.nxBit, Pte::nxBit);
-    EXPECT_EQ(kX86_64.pointerLo, Pte::pfnLo);
-    EXPECT_EQ(kX86_64.pointerHi, Pte::pfnHi);
-    EXPECT_EQ(kX86_64.entriesPerTable(), ptesPerPage);
+    EXPECT_EQ(kX86_64.nxBit, 63u);
+    EXPECT_EQ(kX86_64.pointerLo, 12u);
+    EXPECT_EQ(kX86_64.pointerHi, 51u);
+    EXPECT_EQ(kX86_64.entriesPerTable(), 512u);
     EXPECT_EQ(kX86_64.tableOrder(), 0u);
     EXPECT_EQ(kX86_64.granuleFrames(), 1u);
     EXPECT_EQ(kX86_64.tag(), 0u);
 
-    // Encodings reduce to the old Pte::make bytes.
+    // Encodings: P|R/W|U/S|NX around the PFN at bit 12, plus PS for a
+    // 2 MiB leaf; table entries are P|R/W|U/S, A and D left clear.
     const Pfn pfn = 0x12345;
     const PageFlags flags{true, true, true};
-    EXPECT_EQ(kX86_64.makeLeaf(pfn, flags, 1),
-              Pte::make(pfn, flags).raw());
-    EXPECT_EQ(kX86_64.makeLeaf(pfn, flags, 2),
-              Pte::make(pfn, flags, /*page_size=*/true).raw());
-    EXPECT_EQ(kX86_64.makeTable(pfn),
-              Pte::make(pfn, PageFlags{true, true}).raw());
+    EXPECT_EQ(kX86_64.makeLeaf(pfn, flags, 1), 0x8000000012345007ULL);
+    EXPECT_EQ(kX86_64.makeLeaf(pfn, flags, 2), 0x8000000012345087ULL);
+    EXPECT_EQ(kX86_64.makeTable(pfn), 0x0000000012345007ULL);
 
-    // Index extraction and coverage match the free functions.
+    // Each level consumes 9 VA bits above the 12-bit page offset.
     const VAddr vaddr = 0x7f0000123456ULL;
     for (unsigned level = 1; level <= 4; ++level) {
+        const unsigned shift = 12 + 9 * (level - 1);
         EXPECT_EQ(kX86_64.tableIndex(vaddr, level),
-                  tableIndex(vaddr, level));
-        EXPECT_EQ(kX86_64.levelCoverage(level), levelCoverage(level));
+                  (vaddr >> shift) & 0x1ff);
+        EXPECT_EQ(kX86_64.levelCoverage(level), 1ULL << shift);
     }
 }
 

@@ -10,11 +10,10 @@
 
 #include "common/log.hh"
 #include "cta/indicator.hh"
-#include "paging/pte.hh"
 #include "cta/plan.hh"
-#include "cta/ptp_zone.hh"
 #include "cta/theorem.hh"
 #include "dram/module.hh"
+#include "kernel/kernel.hh"
 
 namespace ctamem::cta {
 namespace {
@@ -44,6 +43,16 @@ ctaConfig(std::uint64_t ptp = 2 * MiB)
     return config;
 }
 
+kernel::KernelConfig
+ctaKernelConfig()
+{
+    kernel::KernelConfig config;
+    config.dram = baseConfig();
+    config.policy = kernel::AllocPolicy::Cta;
+    config.cta = ctaConfig();
+    return config;
+}
+
 TEST(Indicator, PaperConfiguration)
 {
     // 8 GiB with 32 MiB ZONE_PTP: n = 8 indicator bits.
@@ -70,9 +79,9 @@ TEST(Indicator, RejectsBadSizes)
 TEST(PtpZone, CollectsOnlyTrueCells)
 {
     DramModule module(baseConfig());
-    PtpZone zone(module, ctaConfig());
-    EXPECT_EQ(zone.trueBytes(), 2 * MiB);
-    for (const mm::FrameSpan &span : zone.subZones()) {
+    const PtpLayout zone = planLayout(module, ctaConfig());
+    EXPECT_EQ(zone.trueBytes, 2 * MiB);
+    for (const mm::FrameSpan &span : zone.spans) {
         for (Pfn pfn = span.basePfn; pfn < span.endPfn(); ++pfn) {
             EXPECT_EQ(module.cellTypeAt(pfnToAddr(pfn)),
                       CellType::True);
@@ -85,9 +94,9 @@ TEST(PtpZone, SkipsAntiTopStripe)
     // Period 64 rows = 8 MiB stripes; the top stripe is anti-cells,
     // so the zone skips 8 MiB and the LWM lands at 246 MiB.
     DramModule module(baseConfig());
-    PtpZone zone(module, ctaConfig());
-    EXPECT_EQ(zone.skippedAntiBytes(), 8 * MiB);
-    EXPECT_EQ(zone.lowWaterMark(), 246 * MiB);
+    const PtpLayout zone = planLayout(module, ctaConfig());
+    EXPECT_EQ(zone.skippedAntiBytes, 8 * MiB);
+    EXPECT_EQ(zone.lowWaterMark, 246 * MiB);
 }
 
 TEST(PtpZone, NoLossWhenTrueCellsOnTop)
@@ -95,101 +104,108 @@ TEST(PtpZone, NoLossWhenTrueCellsOnTop)
     DramModule module(
         baseConfig(CellTypeMap::alternating(64, /*true_first=*/false)));
     // Anti-first with 32 stripes: top stripe (index 31, odd) is true.
-    PtpZone zone(module, ctaConfig());
-    EXPECT_EQ(zone.skippedAntiBytes(), 0u);
-    EXPECT_EQ(zone.lowWaterMark(), 254 * MiB);
+    const PtpLayout zone = planLayout(module, ctaConfig());
+    EXPECT_EQ(zone.skippedAntiBytes, 0u);
+    EXPECT_EQ(zone.lowWaterMark, 254 * MiB);
 }
 
 TEST(PtpZone, MostlyTrueModuleHasTinyLoss)
 {
     // 63:1 true:anti -> at most one anti row skipped per 64.
     DramModule module(baseConfig(CellTypeMap::mostlyTrue(63)));
-    PtpZone zone(module, ctaConfig());
-    EXPECT_LE(zone.skippedAntiBytes(), 128 * KiB);
+    const PtpLayout zone = planLayout(module, ctaConfig());
+    EXPECT_LE(zone.skippedAntiBytes, 128 * KiB);
 }
 
 TEST(PtpZone, AllAntiModuleFails)
 {
     DramModule module(
         baseConfig(CellTypeMap::uniform(CellType::Anti)));
-    EXPECT_THROW(PtpZone(module, ctaConfig()), FatalError);
+    EXPECT_THROW(planLayout(module, ctaConfig()), FatalError);
 }
+
+// The allocation cases go through the kernel's pte_alloc_one, which
+// asks PhysicalMemory's ZONE_PTP with GFP_PTP.
 
 TEST(PtpZone, AllocateZeroesAndStaysInZone)
 {
-    DramModule module(baseConfig());
-    PtpZone zone(module, ctaConfig());
-    module.writeU64(pfnToAddr(addrToPfn(247 * MiB)), 0xffULL);
+    kernel::Kernel kernel(ctaKernelConfig());
+    const mm::Zone *zone = kernel.phys().zone(mm::ZoneId::Ptp);
+    ASSERT_NE(zone, nullptr);
+    kernel.dram().writeU64(pfnToAddr(addrToPfn(247 * MiB)), 0xffULL);
     for (int i = 0; i < 32; ++i) {
-        auto pfn = zone.allocate(1);
+        auto pfn = kernel.pteAllocOne(1, 0);
         ASSERT_TRUE(pfn);
-        EXPECT_TRUE(zone.contains(*pfn));
-        EXPECT_GE(pfnToAddr(*pfn), zone.lowWaterMark());
-        EXPECT_EQ(module.readU64(pfnToAddr(*pfn)), 0u);
+        EXPECT_TRUE(zone->contains(*pfn));
+        EXPECT_GE(pfnToAddr(*pfn), kernel.ptpLayout()->lowWaterMark);
+        EXPECT_EQ(kernel.dram().readU64(pfnToAddr(*pfn)), 0u);
     }
 }
 
 TEST(PtpZone, ExhaustionReturnsNullopt)
 {
-    DramModule module(baseConfig());
-    PtpZone zone(module, ctaConfig());
-    const std::uint64_t total = zone.totalFrames();
+    kernel::Kernel kernel(ctaKernelConfig());
+    const std::uint64_t total =
+        kernel.phys().zone(mm::ZoneId::Ptp)->totalFrames();
+    EXPECT_EQ(total * pageSize, 2 * MiB);
     for (std::uint64_t i = 0; i < total; ++i)
-        ASSERT_TRUE(zone.allocate(1).has_value());
-    EXPECT_FALSE(zone.allocate(1).has_value());
+        ASSERT_TRUE(kernel.pteAllocOne(1, 0).has_value());
+    EXPECT_FALSE(kernel.pteAllocOne(1, 0).has_value());
 }
 
 TEST(PtpZone, FreeRecyclesFrames)
 {
-    DramModule module(baseConfig());
-    PtpZone zone(module, ctaConfig());
-    auto pfn = zone.allocate(1);
+    kernel::Kernel kernel(ctaKernelConfig());
+    const mm::Zone &zone = *kernel.phys().zone(mm::ZoneId::Ptp);
+    auto pfn = kernel.pteAllocOne(1, 0);
     ASSERT_TRUE(pfn);
     const std::uint64_t free_before = zone.freeFrames();
-    zone.free(*pfn);
+    kernel.pteFree(*pfn);
     EXPECT_EQ(zone.freeFrames(), free_before + 1);
 }
 
 TEST(PtpZone, MultiLevelOrdering)
 {
-    DramModule module(baseConfig());
-    CtaConfig config = ctaConfig();
-    config.multiLevelZones = true;
-    PtpZone zone(module, config);
+    kernel::KernelConfig config = ctaKernelConfig();
+    config.cta.multiLevelZones = true;
+    kernel::Kernel kernel(config);
 
-    // Higher-level tables must land at higher physical addresses.
-    auto l4 = zone.allocate(4);
-    auto l3 = zone.allocate(3);
-    auto l2 = zone.allocate(2);
-    auto l1 = zone.allocate(1);
+    // Higher-level tables must land at higher physical addresses,
+    // each in its own level's zone.
+    auto l4 = kernel.pteAllocOne(4, 0);
+    auto l3 = kernel.pteAllocOne(3, 0);
+    auto l2 = kernel.pteAllocOne(2, 0);
+    auto l1 = kernel.pteAllocOne(1, 0);
     ASSERT_TRUE(l4 && l3 && l2 && l1);
     EXPECT_GT(*l4, *l3);
     EXPECT_GT(*l3, *l2);
     EXPECT_GT(*l2, *l1);
+    EXPECT_EQ(kernel.phys().zoneOf(*l4)->id(), mm::ZoneId::PtpL4);
+    EXPECT_EQ(kernel.phys().zoneOf(*l1)->id(), mm::ZoneId::Ptp);
 }
 
 TEST(PtpZone, PsBitScreeningDropsVulnerableFrames)
 {
-    DramConfig dconfig = baseConfig();
-    dconfig.errors.pf = 5e-4; // boost so screening has victims
-    DramModule module(dconfig);
-    CtaConfig config = ctaConfig();
-    config.multiLevelZones = true;
-    config.screenPageSizeBit = true;
-    PtpZone zone(module, config);
-    EXPECT_GT(zone.screenedFrames(), 0u);
+    kernel::KernelConfig config = ctaKernelConfig();
+    config.dram.errors.pf = 5e-4; // boost so screening has victims
+    config.cta.multiLevelZones = true;
+    config.cta.screenPageSizeBit = true;
+    kernel::Kernel kernel(config);
+    EXPECT_GT(kernel.ptpLayout()->screenedFrames, 0u);
 
     // Surviving level>=2 frames must have no 1->0-vulnerable PS bit.
+    const paging::Arch &arch = kernel.arch();
+    const dram::FaultModel &faults = kernel.dram().faults();
     for (unsigned level = 2; level <= 4; ++level) {
-        auto pfn = zone.allocate(level);
+        auto pfn = kernel.pteAllocOne(level, 0);
         ASSERT_TRUE(pfn);
-        for (std::uint64_t slot = 0; slot < ctamem::paging::ptesPerPage;
+        for (std::uint64_t slot = 0; slot < arch.entriesPerTable();
              ++slot) {
             const Addr addr = pfnToAddr(*pfn) + slot * 8;
             const bool bad =
-                module.faults().vulnerable(addr, 7) &&
-                module.faults().flipDirection(addr, 7,
-                                              CellType::True) ==
+                faults.vulnerable(addr, arch.blockBit) &&
+                faults.flipDirection(addr, arch.blockBit,
+                                     CellType::True) ==
                     dram::FlipDirection::OneToZero;
             EXPECT_FALSE(bad);
         }
@@ -200,7 +216,7 @@ TEST(Plan, StandardZonesStopAtLwm)
 {
     DramModule module(baseConfig());
     CtaPlan plan = buildCtaPlan(module, ctaConfig());
-    const Addr lwm = plan.ptp->lowWaterMark();
+    const Addr lwm = plan.layout.lowWaterMark;
     for (const mm::ZoneSpec &spec : plan.physSpecs) {
         for (const mm::FrameSpan &span : spec.spans)
             EXPECT_LE(pfnToAddr(span.endPfn()), lwm);
@@ -223,7 +239,8 @@ TEST(Plan, RestrictionCarvesKernelRsv)
 
     // Every reserved frame has < 2 zeros; every remaining normal /
     // dma32 frame has >= 2 zeros or sits below the indicator field.
-    const PtpIndicator &ind = plan.ptp->indicator();
+    const PtpIndicator ind(module.geometry().capacity(),
+                           config.ptpBytes);
     for (const mm::FrameSpan &span : rsv_it->spans) {
         for (Pfn pfn = span.basePfn; pfn < span.endPfn();
              pfn += span.frames / 2 + 1) {

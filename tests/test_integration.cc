@@ -158,7 +158,8 @@ TEST(KernelStress, ManyProcessesChurnCleanly)
 {
     Kernel kernel(multiBankConfig(AllocPolicy::Cta));
     const std::uint64_t free0 = kernel.phys().freeFrames();
-    const std::uint64_t ptp0 = kernel.ptpZone()->freeFrames();
+    const mm::Zone &ptp = *kernel.phys().zone(mm::ZoneId::Ptp);
+    const std::uint64_t ptp0 = ptp.freeFrames();
     for (int round = 0; round < 5; ++round) {
         std::vector<int> pids;
         for (int i = 0; i < 16; ++i) {
@@ -174,7 +175,7 @@ TEST(KernelStress, ManyProcessesChurnCleanly)
             kernel.exitProcess(pid);
     }
     EXPECT_EQ(kernel.phys().freeFrames(), free0);
-    EXPECT_EQ(kernel.ptpZone()->freeFrames(), ptp0);
+    EXPECT_EQ(ptp.freeFrames(), ptp0);
     EXPECT_EQ(kernel.pageTableBytes(), 0u);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cta/indicator.hh"
 #include "kernel/kernel.hh"
 
 namespace ctamem::kernel {
@@ -164,7 +165,7 @@ TEST(KernelCta, TablesAboveLwmInTrueCells)
     for (VAddr va = base; va < base + 1 * MiB; va += pageSize)
         ASSERT_TRUE(kernel.touchUser(pid, va));
 
-    const Addr lwm = kernel.ptpZone()->lowWaterMark();
+    const Addr lwm = kernel.ptpLayout()->lowWaterMark;
     for (const auto &[pfn, level] : kernel.pageTableFrames()) {
         EXPECT_GE(pfnToAddr(pfn), lwm);
         EXPECT_EQ(kernel.dram().cellTypeAt(pfnToAddr(pfn)),
@@ -178,7 +179,7 @@ TEST(KernelCta, UserDataStaysBelowLwm)
     Kernel kernel(ctaKernelConfig());
     const int pid = kernel.createProcess("proc");
     const VAddr base = kernel.mmapAnon(pid, 1 * MiB, rw);
-    const Addr lwm = kernel.ptpZone()->lowWaterMark();
+    const Addr lwm = kernel.ptpLayout()->lowWaterMark;
     for (VAddr va = base; va < base + 1 * MiB; va += pageSize) {
         auto access = kernel.readUser(pid, va);
         ASSERT_TRUE(access);
@@ -212,12 +213,47 @@ TEST(KernelCta, PtpPressureTriggersReclaim)
     }
 }
 
+TEST(KernelCta, TablesLiveInPtpZonesAndDataNeverFallsIntoThem)
+{
+    // 32 MiB: ZONE_PTP is 1 MiB of true cells below the anti-cell top
+    // stripe.  Below 4 GiB there is no ZONE_NORMAL, so every data
+    // request already falls down the zonelist to DMA32, then DMA.
+    KernelConfig config = ctaKernelConfig(1 * MiB);
+    config.dram.capacity = 32 * MiB;
+    Kernel kernel(config);
+    const mm::Zone *ptp = kernel.phys().zone(mm::ZoneId::Ptp);
+    ASSERT_NE(ptp, nullptr);
+
+    const int pid = kernel.createProcess("hog");
+    const VAddr base = kernel.mmapAnon(pid, 32 * MiB, rw);
+    VAddr va = base;
+    while (va < base + 32 * MiB && kernel.touchUser(pid, va))
+        va += pageSize;
+
+    // The data zones ran dry while ZONE_PTP still had free frames.
+    EXPECT_GT(kernel.stats().value("oomFaults"), 0u);
+    EXPECT_GT(kernel.phys().stats().value("fallbacks"), 0u);
+    EXPECT_EQ(kernel.phys().zone(mm::ZoneId::Dma)->freeFrames(), 0u);
+    EXPECT_EQ(kernel.phys().zone(mm::ZoneId::Dma32)->freeFrames(), 0u);
+    EXPECT_GT(ptp->freeFrames(), 0u);
+    for (const auto &[vaddr, pfn] : kernel.process(pid).anonFrames)
+        EXPECT_NE(kernel.phys().zoneOf(pfn), ptp);
+
+    // Every live table frame, the root included, is a ZONE_PTP frame.
+    ASSERT_FALSE(kernel.pageTableFrames().empty());
+    for (const auto &[pfn, level] : kernel.pageTableFrames())
+        EXPECT_EQ(kernel.phys().zoneOf(pfn), ptp);
+    EXPECT_EQ(ptp->totalFrames() - ptp->freeFrames(),
+              kernel.pageTableFrames().size());
+}
+
 TEST(KernelCta, RestrictionSendsTrustedDataToReservedZone)
 {
     Kernel kernel(ctaKernelConfig(2 * MiB, 2));
     const int untrusted = kernel.createProcess("attacker", false);
     const int trusted = kernel.createProcess("daemon", true);
-    const auto &ind = kernel.ptpZone()->indicator();
+    const cta::PtpIndicator ind(kernel.dram().geometry().capacity(),
+                                kernel.config().cta.ptpBytes);
 
     const VAddr ua = kernel.mmapAnon(untrusted, 64 * KiB, rw);
     auto uaccess = kernel.readUser(untrusted, ua);

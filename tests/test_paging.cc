@@ -9,33 +9,35 @@
 
 #include "dram/module.hh"
 #include "paging/address_space.hh"
+#include "paging/arch.hh"
 #include "paging/mmu.hh"
-#include "paging/pte.hh"
 #include "paging/tlb.hh"
 #include "paging/walker.hh"
 
 namespace ctamem::paging {
 namespace {
 
+// The x86-64 PTE layout, through the kX86_64 descriptor.
+
 TEST(Pte, FieldRoundTrip)
 {
-    Pte pte = Pte::make(0x12345, PageFlags{true, true, true});
-    EXPECT_TRUE(pte.present());
-    EXPECT_TRUE(pte.writable());
-    EXPECT_TRUE(pte.user());
-    EXPECT_TRUE(pte.noExecute());
-    EXPECT_FALSE(pte.pageSize());
-    EXPECT_EQ(pte.pfn(), 0x12345u);
+    std::uint64_t raw =
+        kX86_64.makeLeaf(0x12345, PageFlags{true, true, true}, 1);
+    EXPECT_TRUE(kX86_64.present(raw));
+    EXPECT_TRUE(kX86_64.writable(raw));
+    EXPECT_TRUE(kX86_64.user(raw));
+    EXPECT_TRUE(kX86_64.noExecute(raw));
+    EXPECT_FALSE(kX86_64.blockMarked(raw));
+    EXPECT_EQ(kX86_64.pfn(raw), 0x12345u);
 
-    pte.setPfn(0x777);
-    EXPECT_EQ(pte.pfn(), 0x777u);
-    EXPECT_TRUE(pte.present()); // flags untouched
+    raw = kX86_64.setPfn(raw, 0x777);
+    EXPECT_EQ(kX86_64.pfn(raw), 0x777u);
+    EXPECT_TRUE(kX86_64.present(raw)); // flags untouched
 }
 
 TEST(Pte, PageSizeBitIsBit7)
 {
-    Pte pte = Pte::make(1, PageFlags{}, /*page_size=*/true);
-    EXPECT_TRUE(pte.raw() & 0x80);
+    EXPECT_TRUE(kX86_64.makeLeaf(1, PageFlags{}, 2) & 0x80);
 }
 
 TEST(Pte, IndexExtraction)
@@ -43,17 +45,17 @@ TEST(Pte, IndexExtraction)
     // vaddr = PML4 idx 1, PDPT idx 2, PD idx 3, PT idx 4, offset 5.
     const VAddr vaddr = (1ULL << 39) | (2ULL << 30) | (3ULL << 21) |
                         (4ULL << 12) | 5;
-    EXPECT_EQ(tableIndex(vaddr, 4), 1u);
-    EXPECT_EQ(tableIndex(vaddr, 3), 2u);
-    EXPECT_EQ(tableIndex(vaddr, 2), 3u);
-    EXPECT_EQ(tableIndex(vaddr, 1), 4u);
+    EXPECT_EQ(kX86_64.tableIndex(vaddr, 4), 1u);
+    EXPECT_EQ(kX86_64.tableIndex(vaddr, 3), 2u);
+    EXPECT_EQ(kX86_64.tableIndex(vaddr, 2), 3u);
+    EXPECT_EQ(kX86_64.tableIndex(vaddr, 1), 4u);
 }
 
 TEST(Pte, LevelCoverage)
 {
-    EXPECT_EQ(levelCoverage(1), 4 * KiB);
-    EXPECT_EQ(levelCoverage(2), 2 * MiB);
-    EXPECT_EQ(levelCoverage(3), 1 * GiB);
+    EXPECT_EQ(kX86_64.levelCoverage(1), 4 * KiB);
+    EXPECT_EQ(kX86_64.levelCoverage(2), 2 * MiB);
+    EXPECT_EQ(kX86_64.levelCoverage(3), 1 * GiB);
 }
 
 class PagingTest : public ::testing::Test
@@ -185,12 +187,12 @@ TEST_F(PagingTest, CorruptedPteIsFollowed)
 
     const Addr pte_addr = walker_->entryAddress(rootPfn_, vaddr, 1);
     ASSERT_NE(pte_addr, 0u);
-    Pte pte(module_->readU64(pte_addr));
-    EXPECT_EQ(pte.pfn(), frame);
+    const std::uint64_t raw = module_->readU64(pte_addr);
+    EXPECT_EQ(kX86_64.pfn(raw), frame);
 
     // Clear bit 14 of the address (bit 2 of the PFN field).
-    pte.setPfn(frame & ~(1ULL << 2));
-    module_->writeU64(pte_addr, pte.raw());
+    module_->writeU64(pte_addr,
+                      kX86_64.setPfn(raw, frame & ~(1ULL << 2)));
 
     const WalkResult result = walker_->walk(
         rootPfn_, vaddr, AccessType::Read, Privilege::User);
@@ -204,9 +206,10 @@ TEST_F(PagingTest, OutOfRangePointerFaults)
     ASSERT_TRUE(space_->map(vaddr, addrToPfn(16 * MiB),
                             PageFlags{true, true}));
     const Addr pte_addr = walker_->entryAddress(rootPfn_, vaddr, 1);
-    Pte pte(module_->readU64(pte_addr));
-    pte.setPfn(addrToPfn(512 * GiB)); // beyond the 256 MiB module
-    module_->writeU64(pte_addr, pte.raw());
+    // Point the entry beyond the 256 MiB module.
+    module_->writeU64(pte_addr,
+                      kX86_64.setPfn(module_->readU64(pte_addr),
+                                     addrToPfn(512 * GiB)));
     EXPECT_EQ(walker_->walk(rootPfn_, vaddr, AccessType::Read,
                             Privilege::User).fault,
               Fault::OutOfRange);
@@ -220,10 +223,10 @@ TEST_F(PagingTest, EntryAddressPerLevel)
     for (unsigned level = 4; level >= 1; --level) {
         const Addr addr = walker_->entryAddress(rootPfn_, vaddr, level);
         ASSERT_NE(addr, 0u) << "level " << level;
-        const Pte entry(module_->readU64(addr));
-        EXPECT_TRUE(entry.present());
+        const std::uint64_t entry = module_->readU64(addr);
+        EXPECT_TRUE(kX86_64.present(entry));
         if (level == 1)
-            EXPECT_EQ(entry.pfn(), addrToPfn(16 * MiB));
+            EXPECT_EQ(kX86_64.pfn(entry), addrToPfn(16 * MiB));
     }
 }
 

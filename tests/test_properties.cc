@@ -18,7 +18,7 @@
 #include <set>
 
 #include "common/rng.hh"
-#include "cta/ptp_zone.hh"
+#include "cta/plan.hh"
 #include "cta/theorem.hh"
 #include "dram/module.hh"
 #include "mm/buddy.hh"
@@ -194,16 +194,20 @@ TEST_P(PtpZoneProperty, ConstructionInvariants)
 
     cta::CtaConfig cta_config;
     cta_config.ptpBytes = param.ptpBytes;
-    cta::PtpZone zone(module, cta_config);
+    const cta::PtpLayout zone = cta::planLayout(module, cta_config);
 
-    // Exact capacity collected.
-    EXPECT_EQ(zone.trueBytes(), param.ptpBytes);
-    EXPECT_EQ(zone.totalFrames() * pageSize, param.ptpBytes);
+    // Exact capacity collected, all of it in the allocatable
+    // partition.
+    EXPECT_EQ(zone.trueBytes, param.ptpBytes);
+    std::uint64_t partition_frames = 0;
+    for (const mm::FrameSpan &span : zone.levelSpans[1])
+        partition_frames += span.frames;
+    EXPECT_EQ(partition_frames * pageSize, param.ptpBytes);
 
     std::uint64_t span_frames = 0;
     Pfn prev_base = 0;
     bool first = true;
-    for (const mm::FrameSpan &span : zone.subZones()) {
+    for (const mm::FrameSpan &span : zone.spans) {
         span_frames += span.frames;
         // Ordered top of memory first, no overlap.
         if (!first)
@@ -211,7 +215,7 @@ TEST_P(PtpZoneProperty, ConstructionInvariants)
         first = false;
         prev_base = span.basePfn;
         // Entirely above the low water mark and in true cells.
-        EXPECT_GE(pfnToAddr(span.basePfn), zone.lowWaterMark());
+        EXPECT_GE(pfnToAddr(span.basePfn), zone.lowWaterMark);
         for (Pfn pfn = span.basePfn; pfn < span.endPfn();
              pfn += config.rowBytes / pageSize) {
             EXPECT_EQ(module.cellTypeAt(pfnToAddr(pfn)),
@@ -221,8 +225,8 @@ TEST_P(PtpZoneProperty, ConstructionInvariants)
     EXPECT_EQ(span_frames * pageSize, param.ptpBytes);
 
     // Accounting: collected + skipped == scanned region above LWM.
-    EXPECT_EQ(zone.trueBytes() + zone.skippedAntiBytes(),
-              config.capacity - zone.lowWaterMark());
+    EXPECT_EQ(zone.trueBytes + zone.skippedAntiBytes,
+              config.capacity - zone.lowWaterMark);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "attack/registry.hh"
 #include "defense/registry.hh"
@@ -227,6 +228,41 @@ TEST(Scenario, ManifestSchemaViolationsThrow)
             }
         }
     }
+    // Sizes the DRAM geometry or ZONE_PTP cannot take fail at parse
+    // time too, naming the key (memory is 256 MiB, rows 128 KiB).
+    const std::pair<const char *, const char *> badSizes[] = {
+        {"memBytes", R"({"memBytes": 300000000})"},
+        {"banks", R"({"banks": 3})"},
+        {"banks", R"({"banks": 0})"},
+        {"rowBytes", R"({"rowBytes": 100000})"},
+        {"rowBytes", R"({"rowBytes": 2048})"},
+        {"ptpBytes", R"({"ptpBytes": 4194305})"},
+        {"ptpBytes", R"({"ptpBytes": 65536})"},
+        {"ptpBytes", R"({"ptpBytes": 268435456})"},
+        {"ptpBytes", R"({"memBytes": 67108864, "ptpBytes": 67108864})"},
+    };
+    for (const auto &[key, base] : badSizes) {
+        Json manifest = Json::parse(
+            R"({"defenses": ["cta"], "attacks": ["drammer"]})");
+        manifest.set("base", Json::parse(base));
+        try {
+            campaignFromJson(manifest);
+            ADD_FAILURE() << base << " was accepted";
+        } catch (const JsonError &err) {
+            EXPECT_NE(std::string(err.what()).find(key),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    // The checks run once every key is read: a ZONE_PTP too big for
+    // the default memory is fine when a later key grows the memory.
+    EXPECT_EQ(campaignFromJson(Json::parse(
+                                   R"({"base": {"ptpBytes": 268435456,
+                                                "memBytes": 1073741824},
+                                       "defenses": ["cta"],
+                                       "attacks": ["drammer"]})"))
+                  .size(),
+              1u);
 }
 
 TEST(Scenario, SchemaVersionGatesManifests)

@@ -68,12 +68,12 @@ TEST(Machine, DefensesMapToPolicies)
 
     config.defense = DefenseKind::Cta;
     Machine cta(config);
-    EXPECT_NE(cta.kernel().ptpZone(), nullptr);
+    EXPECT_NE(cta.kernel().ptpLayout(), nullptr);
     EXPECT_EQ(cta.observer(), nullptr);
 
     config.defense = DefenseKind::Para;
     Machine para(config);
-    EXPECT_EQ(para.kernel().ptpZone(), nullptr);
+    EXPECT_EQ(para.kernel().ptpLayout(), nullptr);
     ASSERT_NE(para.observer(), nullptr);
     EXPECT_STREQ(para.observer()->name(), "PARA");
 

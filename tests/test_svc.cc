@@ -539,11 +539,16 @@ TEST(Service, BadManifestsGetErrorFrames)
     Json base = badProbability.at("base");
     base.set("pf", 7.5);
     badProbability.set("base", std::move(base));
+    Json badMemory = tinyManifest();
+    base = badMemory.at("base");
+    base.set("memBytes", std::uint64_t{300000000});
+    badMemory.set("base", std::move(base));
 
     const auto responses = roundTrip(
         service, {submitRequest(badVersion, 2), noManifest,
-                  submitRequest(badProbability, 4)});
-    ASSERT_EQ(responses.size(), 3u);
+                  submitRequest(badProbability, 4),
+                  submitRequest(badMemory, 6)});
+    ASSERT_EQ(responses.size(), 4u);
     EXPECT_EQ(responses[0].at("type").asString(), "error");
     EXPECT_NE(responses[0].at("message").asString().find(
                   "schema_version"),
@@ -552,8 +557,48 @@ TEST(Service, BadManifestsGetErrorFrames)
     EXPECT_EQ(responses[2].at("type").asString(), "error");
     EXPECT_NE(responses[2].at("message").asString().find("pf"),
               std::string::npos);
+    EXPECT_EQ(responses[3].at("type").asString(), "error");
+    EXPECT_NE(responses[3].at("message").asString().find("memBytes"),
+              std::string::npos);
     // Rejected before anything booted.
     EXPECT_EQ(service.counters().cellsExecuted, 0u);
+}
+
+TEST(Service, FailingCellGetsAnErrorFrameAndServingContinues)
+{
+    // 128 MiB of ZONE_PTP passes the parse-time size checks, but the
+    // anti-cell stripes leave the upper half of a 256 MiB module short
+    // of that many true-cell bytes: the cell's boot throws.
+    CampaignService service(testServiceConfig());
+    const Json unbootable = Json::parse(R"({
+        "base": {"ptpBytes": 134217728},
+        "defenses": ["cta"],
+        "attacks": ["projectzero"]})");
+    Json shutdown = Json::object();
+    shutdown.set("type", std::string("shutdown"));
+
+    const auto responses = roundTrip(
+        service, {submitRequest(unbootable, 1),
+                  submitRequest(tinyManifest(), 2), shutdown});
+    std::size_t errors = 0;
+    std::size_t done = 0;
+    for (const Json &frame : responses) {
+        const std::string type = frame.at("type").asString();
+        if (type == "error") {
+            ++errors;
+            EXPECT_EQ(frame.at("id").asU64(), 1u);
+            EXPECT_EQ(frame.at("index").asU64(), 0u);
+            EXPECT_NE(frame.at("message").asString().find("ZONE_PTP"),
+                      std::string::npos);
+        } else if (type == "done") {
+            ++done;
+            EXPECT_EQ(frame.at("id").asU64(), 2u);
+        }
+    }
+    EXPECT_EQ(errors, 1u);
+    EXPECT_EQ(done, 1u);
+    ASSERT_FALSE(responses.empty());
+    EXPECT_EQ(responses.back().at("type").asString(), "bye");
 }
 
 TEST(Service, ShutdownAnswersByeAndStops)
