@@ -233,6 +233,66 @@ runScenario(const std::string &path, unsigned jobs,
     return 0;
 }
 
+/**
+ * Single-cell mode: boot one machine, run one attack and print a full
+ * report.  Exit 1 when the attack escalated.
+ */
+int
+runSingle(const sim::MachineConfig &config, AttackKind attack)
+{
+    std::cout << "machine: " << config.memBytes / MiB << " MiB, Pf="
+              << config.pf << ", seed=" << config.seed
+              << ", defense=" << defense::defenseName(config.defense)
+              << ", arch="
+              << paging::resolveArch(config.arch, config.granule).name
+              << '\n';
+    sim::Machine machine(config);
+    if (const cta::PtpLayout *ptp = machine.kernel().ptpLayout()) {
+        std::cout << "ZONE_PTP: " << ptp->trueBytes / MiB
+                  << " MiB true-cells, LWM=0x" << std::hex
+                  << ptp->lowWaterMark << std::dec << ", "
+                  << ptp->skippedAntiBytes / MiB
+                  << " MiB anti skipped\n";
+    }
+
+    std::cout << "running: " << sim::attackName(attack) << "...\n\n";
+    // Event recording is opt-in since the mask-based engine; the lab
+    // wants the individual flips for its report, so hook a sink up.
+    std::vector<dram::FlipEvent> flips;
+    machine.engine().setEventSink(&flips);
+    const attack::AttackResult result = machine.runAttack(attack);
+    machine.engine().setEventSink(nullptr);
+    std::uint64_t down = 0;
+    for (const dram::FlipEvent &flip : flips)
+        down += flip.dir == dram::FlipDirection::OneToZero;
+
+    std::cout << "outcome:        "
+              << attack::outcomeName(result.outcome) << '\n'
+              << "detail:         " << result.detail << '\n'
+              << "hammer passes:  " << result.hammerPasses << '\n'
+              << "flips induced:  " << result.flipsInduced << '\n'
+              << "flips recorded: " << flips.size() << " ("
+              << down << " 1->0, " << flips.size() - down
+              << " 0->1)\n"
+              << "self-refs:      " << result.selfReferences << '\n'
+              << "PTEs corrupted: " << result.ptesCorrupted << '\n'
+              << "modeled time:   "
+              << static_cast<double>(result.attackTime) /
+                     static_cast<double>(seconds)
+              << " s\n";
+    if (machine.observer()) {
+        std::cout << "mitigations:    "
+                  << machine.observer()->mitigations() << " ("
+                  << machine.observer()->name() << ")\n";
+    }
+    const cta::TheoremAudit audit = machine.kernel().auditTheorem();
+    if (machine.kernel().ptpLayout()) {
+        std::cout << "theorem audit:  "
+                  << (audit.holds() ? "holds" : "VIOLATED") << '\n';
+    }
+    return result.succeeded() ? 1 : 0;
+}
+
 } // namespace
 
 int
@@ -295,69 +355,33 @@ main(int argc, char **argv)
     if (!scenario_path.empty())
         return runScenario(scenario_path, jobs, max_cells,
                            report_path);
-    if (matrix)
-        return runMatrix(config, jobs, report_path);
 
-    const defense::DefenseSpec *defense_spec =
-        defense::Registry::instance().find(defense_name);
-    const attack::AttackSpec *attack_spec =
-        attack::Registry::instance().find(attack_name);
-    if (!defense_spec || !attack_spec) {
-        listOptions();
+    // A config built from flags gets the checks a manifest gets.
+    try {
+        sim::checkMachineConfig(config);
+    } catch (const json::JsonError &err) {
+        std::cerr << "attack_lab: " << err.what() << '\n';
         return 2;
     }
-    config.defense = defense_spec->kind;
 
-    std::cout << "machine: " << config.memBytes / MiB << " MiB, Pf="
-              << config.pf << ", seed=" << config.seed
-              << ", defense=" << defense::defenseName(config.defense)
-              << ", arch="
-              << paging::resolveArch(config.arch, config.granule).name
-              << '\n';
-    sim::Machine machine(config);
-    if (const cta::PtpLayout *ptp = machine.kernel().ptpLayout()) {
-        std::cout << "ZONE_PTP: " << ptp->trueBytes / MiB
-                  << " MiB true-cells, LWM=0x" << std::hex
-                  << ptp->lowWaterMark << std::dec << ", "
-                  << ptp->skippedAntiBytes / MiB
-                  << " MiB anti skipped\n";
-    }
+    try {
+        if (matrix)
+            return runMatrix(config, jobs, report_path);
 
-    const AttackKind attack = attack_spec->kind;
-    std::cout << "running: " << sim::attackName(attack) << "...\n\n";
-    // Event recording is opt-in since the mask-based engine; the lab
-    // wants the individual flips for its report, so hook a sink up.
-    std::vector<dram::FlipEvent> flips;
-    machine.engine().setEventSink(&flips);
-    const attack::AttackResult result = machine.runAttack(attack);
-    machine.engine().setEventSink(nullptr);
-    std::uint64_t down = 0;
-    for (const dram::FlipEvent &flip : flips)
-        down += flip.dir == dram::FlipDirection::OneToZero;
-
-    std::cout << "outcome:        "
-              << attack::outcomeName(result.outcome) << '\n'
-              << "detail:         " << result.detail << '\n'
-              << "hammer passes:  " << result.hammerPasses << '\n'
-              << "flips induced:  " << result.flipsInduced << '\n'
-              << "flips recorded: " << flips.size() << " ("
-              << down << " 1->0, " << flips.size() - down
-              << " 0->1)\n"
-              << "self-refs:      " << result.selfReferences << '\n'
-              << "PTEs corrupted: " << result.ptesCorrupted << '\n'
-              << "modeled time:   "
-              << static_cast<double>(result.attackTime) /
-                     static_cast<double>(seconds)
-              << " s\n";
-    if (machine.observer()) {
-        std::cout << "mitigations:    "
-                  << machine.observer()->mitigations() << " ("
-                  << machine.observer()->name() << ")\n";
+        const defense::DefenseSpec *defense_spec =
+            defense::Registry::instance().find(defense_name);
+        const attack::AttackSpec *attack_spec =
+            attack::Registry::instance().find(attack_name);
+        if (!defense_spec || !attack_spec) {
+            listOptions();
+            return 2;
+        }
+        config.defense = defense_spec->kind;
+        return runSingle(config, attack_spec->kind);
+    } catch (const FatalError &err) {
+        // A machine that cannot boot (e.g. a ZONE_PTP the module's
+        // true cells cannot supply).
+        std::cerr << "attack_lab: " << err.what() << '\n';
+        return 1;
     }
-    const cta::TheoremAudit audit = machine.kernel().auditTheorem();
-    if (machine.kernel().ptpLayout()) {
-        std::cout << "theorem audit:  "
-                  << (audit.holds() ? "holds" : "VIOLATED") << '\n';
-    }
-    return result.succeeded() ? 1 : 0;
 }

@@ -11,7 +11,6 @@ namespace ctamem::kernel {
 
 using mm::FrameSpan;
 using mm::GfpFlags;
-using mm::PageKind;
 using mm::ZoneId;
 using mm::ZoneSpec;
 using paging::PageFlags;
@@ -107,6 +106,7 @@ Kernel::Kernel(const KernelConfig &config) : config_(config)
         cta::CtaPlan plan = cta::buildCtaPlan(*dram_, config_.cta);
         ptpLayout_ = std::move(plan.layout);
         specs = std::move(plan.physSpecs);
+        addPtpZones(specs, *ptpLayout_);
         break;
       }
       case AllocPolicy::Catt:
@@ -117,30 +117,6 @@ Kernel::Kernel(const KernelConfig &config) : config_(config)
         break;
     }
 
-    finishBoot(std::move(specs), nullptr);
-}
-
-Kernel::Kernel(const KernelConfig &config, const BootImage &image)
-    : config_(config)
-{
-    config_.cta.arch = config_.arch;
-    dram_ = std::make_unique<dram::DramModule>(config.dram);
-
-    // The zone specs and the ZONE_PTP layout come from the image
-    // rather than from a fresh scan — that skip is the whole point of
-    // a warm start.
-    if (config.policy == AllocPolicy::Cta) {
-        if (!image.ptpLayout)
-            fatal("warm start: CTA policy needs a ZONE_PTP layout");
-        ptpLayout_ = image.ptpLayout;
-    }
-
-    finishBoot(image.physSpecs, &image);
-}
-
-void
-Kernel::finishBoot(std::vector<ZoneSpec> specs, const BootImage *image)
-{
     processesCreatedId_ = stats_.registerCounter("processesCreated");
     deviceBuffersId_ = stats_.registerCounter("deviceBuffers");
     mmapsId_ = stats_.registerCounter("mmaps");
@@ -154,66 +130,32 @@ Kernel::finishBoot(std::vector<ZoneSpec> specs, const BootImage *image)
     pteAllocFailuresId_ = stats_.registerCounter("pteAllocFailures");
     ptReclaimsId_ = stats_.registerCounter("ptReclaims");
 
-    bootSpecs_ = std::move(specs);
-    std::vector<ZoneSpec> zones = bootSpecs_;
-    if (ptpLayout_)
-        addPtpZones(zones, *ptpLayout_);
     phys_ = std::make_unique<mm::PhysicalMemory>(*dram_,
-                                                 std::move(zones));
+                                                 std::move(specs));
     mmu_ = std::make_unique<paging::Mmu>(*dram_, config_.tlbEntries,
                                          *config_.arch);
 
-    // Plant the kernel secret the attacks try to reach.  Allocation
-    // is deterministic, so a warm start replays it and must land on
-    // the frame the snapshot recorded.
-    auto secret = phys_->allocate(
-        dataFlags(Process{.trusted = true}, PageKind::KernelData));
+    // Plant the kernel secret the attacks try to reach.
+    auto secret = phys_->allocate(dataFlags(true));
     if (!secret)
         fatal("boot: cannot allocate the kernel secret page");
-    if (image && *secret != image->secretPfn) {
-        fatal("warm start: replayed kernel-secret allocation landed "
-              "on frame ", *secret, " but the snapshot recorded ",
-              image->secretPfn);
-    }
-    secretPfn_ = *secret;
     secretAddr_ = pfnToAddr(*secret) + 0x40;
     dram_->writeU64(secretAddr_, kernelSecret);
-    if (image)
-        now_ = image->simTime;
-}
-
-BootImage
-Kernel::bootImage() const
-{
-    if (!processes_.empty() || !ptFrameLevels_.empty()) {
-        fatal("bootImage: only a freshly booted kernel can be "
-              "snapshotted (", processes_.size(), " processes, ",
-              ptFrameLevels_.size(), " page-table frames live)");
-    }
-    BootImage image;
-    image.ptpLayout = ptpLayout_;
-    image.physSpecs = bootSpecs_;
-    image.secretPfn = secretPfn_;
-    image.secretAddr = secretAddr_;
-    image.simTime = now_;
-    return image;
 }
 
 Kernel::~Kernel() = default;
 
 GfpFlags
-Kernel::dataFlags(const Process &proc, PageKind kind) const
+Kernel::dataFlags(bool privileged) const
 {
     // Kernel data and trusted-process data prefer the reserved
     // low-zero-indicator regions when the CTA restriction carved
     // them out; everyone else gets ZONE_NORMAL.
-    const bool privileged =
-        kind == PageKind::KernelData || proc.trusted;
-    if (privileged && phys_ && phys_->zone(ZoneId::KernelRsv))
-        return GfpFlags{ZoneId::KernelRsv, false, kind};
+    if (privileged && phys_->zone(ZoneId::KernelRsv))
+        return GfpFlags{ZoneId::KernelRsv, false};
     if (config_.policy == AllocPolicy::Catt && privileged)
-        return GfpFlags{ZoneId::KernelRsv, true, kind};
-    return GfpFlags{ZoneId::Normal, false, kind};
+        return GfpFlags{ZoneId::KernelRsv, true};
+    return mm::GFP_KERNEL;
 }
 
 GfpFlags
@@ -227,12 +169,12 @@ Kernel::pteFlags(unsigned level) const
         return flags;
       }
       case AllocPolicy::Catt:
-        return GfpFlags{ZoneId::KernelRsv, true, PageKind::PageTable};
+        return GfpFlags{ZoneId::KernelRsv, true};
       case AllocPolicy::Standard:
       case AllocPolicy::Zebram:
         break;
     }
-    return GfpFlags{ZoneId::Normal, false, PageKind::PageTable};
+    return mm::GFP_KERNEL;
 }
 
 int
@@ -305,8 +247,7 @@ Kernel::createDeviceBuffer(std::uint64_t length)
     SimFile buffer{fd, (length + mask) & ~mask, {}};
     // Device buffers live in kernel memory: allocate every page-sized
     // frame run now from the kernel's preferred zone.
-    const GfpFlags flags =
-        dataFlags(Process{.trusted = true}, PageKind::KernelData);
+    const GfpFlags flags = dataFlags(true);
     for (std::uint64_t idx = 0; idx * pageBytes() < buffer.length;
          ++idx) {
         auto pfn = phys_->allocate(flags, arch().tableOrder());
@@ -382,8 +323,7 @@ Kernel::mmapAnonLarge(int pid, const PageFlags &prot, unsigned level,
     const VAddr base = placeVma(proc, length, fixed);
     if (base == 0)
         return 0;
-    auto frame = phys_->allocate(dataFlags(proc, PageKind::UserData),
-                                 order, pid);
+    auto frame = phys_->allocate(dataFlags(proc.trusted), order);
     if (!frame)
         return 0;
     PageFlags flags = prot;
@@ -489,9 +429,8 @@ Kernel::handlePageFault(Process &proc, VAddr vaddr)
         if (resident != proc.anonFrames.end()) {
             pfn = resident->second;
         } else {
-            auto frame = phys_->allocate(
-                dataFlags(proc, PageKind::UserData),
-                arch().tableOrder(), proc.pid);
+            auto frame = phys_->allocate(dataFlags(proc.trusted),
+                                         arch().tableOrder());
             if (!frame) {
                 stats_.at(oomFaultsId_).increment();
                 return false;
@@ -510,7 +449,7 @@ Kernel::handlePageFault(Process &proc, VAddr vaddr)
         auto cached = file.frames.find(page_idx);
         if (cached == file.frames.end()) {
             auto frame =
-                phys_->allocate(mm::GFP_FILE, arch().tableOrder());
+                phys_->allocate(mm::GFP_KERNEL, arch().tableOrder());
             if (!frame) {
                 stats_.at(oomFaultsId_).increment();
                 return false;
@@ -588,17 +527,17 @@ Kernel::flushTlb()
 std::optional<Pfn>
 Kernel::pteAllocOne(unsigned level, int pid)
 {
+    (void)pid; // the allocator records no owner
     if (level < 1 || level > arch().levels) {
         fatal("pteAllocOne: level must be 1..", arch().levels, " on ",
               arch().name, ", got ", level);
     }
     stats_.at(pteAllocsId_).increment();
     const GfpFlags flags = pteFlags(level);
-    std::optional<Pfn> pfn =
-        phys_->allocate(flags, arch().tableOrder(), pid);
+    std::optional<Pfn> pfn = phys_->allocate(flags, arch().tableOrder());
     // ZONE_PTP pressure relief: evict a leaf table and retry once.
     if (!pfn && ptpLayout_ && reclaimLeafTable())
-        pfn = phys_->allocate(flags, arch().tableOrder(), pid);
+        pfn = phys_->allocate(flags, arch().tableOrder());
     if (!pfn) {
         stats_.at(pteAllocFailuresId_).increment();
         return std::nullopt;

@@ -55,26 +55,6 @@ struct KernelConfig
     const paging::Arch *arch = &paging::kX86_64;
 };
 
-/**
- * The boot-derived state of a freshly booted kernel, in plain data
- * form: what a warm start needs to skip the zone scans.  Only valid
- * for a kernel with no processes and no page-table frames — i.e.
- * immediately after boot — which is the only point machine snapshots
- * are taken.  Restore replays the (deterministic) kernel-secret
- * allocation and verifies it lands on the recorded frame, so a
- * restored kernel's allocator state is bit-identical to a cold boot's.
- */
-struct BootImage
-{
-    /** ZONE_PTP layout; present iff the policy is Cta. */
-    std::optional<cta::PtpLayout> ptpLayout;
-    /** Zone specs the allocator booted with (excludes ZONE_PTP). */
-    std::vector<mm::ZoneSpec> physSpecs;
-    Pfn secretPfn = invalidPfn;
-    Addr secretAddr = 0;
-    SimTime simTime = 0;
-};
-
 /** Outcome of a user-mode memory access. */
 struct UserAccess
 {
@@ -95,14 +75,6 @@ class Kernel
     static constexpr std::uint64_t kernelSecret = 0xdeadbeeffeedfaceULL;
 
     explicit Kernel(const KernelConfig &config);
-
-    /**
-     * Warm start: boot from a previously captured bootImage(),
-     * skipping the CTA row walk / PS-bit screening.  Fatal when the
-     * image is inconsistent with @p config (wrong policy, or the
-     * replayed secret allocation diverges).
-     */
-    Kernel(const KernelConfig &config, const BootImage &image);
 
     ~Kernel();
 
@@ -247,14 +219,6 @@ class Kernel
     Addr kernelSecretAddr() const { return secretAddr_; }
     /** @} */
 
-    /**
-     * Capture the boot-derived state for snapshots.  Fatal unless the
-     * kernel is still in its post-boot state (no processes, no
-     * page-table frames) — snapshot blobs do not carry process or
-     * paging state.
-     */
-    BootImage bootImage() const;
-
     /** @name Simulated time */
     /** @{ */
     SimTime now() const { return now_; }
@@ -265,10 +229,6 @@ class Kernel
     StatGroup &stats() { return stats_; }
 
   private:
-    /** Shared tail of both constructors: allocator, MMU, secret. */
-    void finishBoot(std::vector<mm::ZoneSpec> specs,
-                    const BootImage *image);
-
     /** Base frame of the table granule containing @p pfn (identity
      *  on x86-64, whose granule is one frame). */
     Pfn tableBase(Pfn pfn) const
@@ -286,8 +246,9 @@ class Kernel
      */
     bool reclaimLeafTable();
     VAddr placeVma(Process &proc, std::uint64_t length, VAddr fixed);
-    mm::GfpFlags dataFlags(const Process &proc,
-                           mm::PageKind kind) const;
+    /** A data-page request; kernel and trusted-process pages are
+     *  @p privileged. */
+    mm::GfpFlags dataFlags(bool privileged) const;
     /** pte_alloc_one's request for a level-@p level table. */
     mm::GfpFlags pteFlags(unsigned level) const;
 
@@ -305,12 +266,7 @@ class Kernel
     /** Live page-table frames -> paging level they serve. */
     std::unordered_map<Pfn, unsigned> ptFrameLevels_;
 
-    /** Zone specs the allocator booted with, ZONE_PTP aside, for
-     *  bootImage(). */
-    std::vector<mm::ZoneSpec> bootSpecs_;
-
     Addr secretAddr_ = 0;
-    Pfn secretPfn_ = invalidPfn;
 
     SimTime now_ = 0;
     StatGroup stats_;

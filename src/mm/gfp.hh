@@ -45,36 +45,21 @@ ptpZone(unsigned level)
 /** Human-readable zone name. */
 const char *zoneName(ZoneId id);
 
-/** Kind of page being requested, recorded in the page database. */
-enum class PageKind : std::uint8_t
-{
-    Free,
-    UserData,
-    KernelData,
-    PageTable,
-    FileCache,
-};
-
 /** An allocation request. */
 struct GfpFlags
 {
     ZoneId zone = ZoneId::Normal;
     bool noFallback = false;
-    PageKind kind = PageKind::KernelData;
 };
 
-/** Regular kernel allocation: ZONE_NORMAL with fallback. */
-constexpr GfpFlags GFP_KERNEL{ZoneId::Normal, false,
-                              PageKind::KernelData};
-
-/** User-page allocation: ZONE_NORMAL with fallback. */
-constexpr GfpFlags GFP_USER{ZoneId::Normal, false, PageKind::UserData};
-
-/** File/page-cache allocation. */
-constexpr GfpFlags GFP_FILE{ZoneId::Normal, false, PageKind::FileCache};
+/**
+ * Regular allocation — kernel, user and page-cache pages alike:
+ * ZONE_NORMAL with fallback.
+ */
+constexpr GfpFlags GFP_KERNEL{ZoneId::Normal, false};
 
 /** DMA allocation: ZONE_DMA only. */
-constexpr GfpFlags GFP_DMA{ZoneId::Dma, true, PageKind::KernelData};
+constexpr GfpFlags GFP_DMA{ZoneId::Dma, true};
 
 /**
  * The paper's new flag: page-table pages from ZONE_PTP only, never
@@ -82,7 +67,7 @@ constexpr GfpFlags GFP_DMA{ZoneId::Dma, true, PageKind::KernelData};
  * multi-level zones the kernel retargets `zone` to the requesting
  * level's partition, ptpZone(level).
  */
-constexpr GfpFlags GFP_PTP{ZoneId::Ptp, true, PageKind::PageTable};
+constexpr GfpFlags GFP_PTP{ZoneId::Ptp, true};
 
 } // namespace ctamem::mm
 

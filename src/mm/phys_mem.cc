@@ -67,18 +67,14 @@ zonelist(ZoneId preferred)
 
 PhysicalMemory::PhysicalMemory(dram::DramModule &module,
                                std::vector<ZoneSpec> specs)
-    : module_(module)
+    : module_(module),
+      headOrders_(module.geometry().capacity() / pageSize, 0)
 {
     allocsId_ = stats_.registerCounter("allocs");
     fallbacksId_ = stats_.registerCounter("fallbacks");
     failuresId_ = stats_.registerCounter("failures");
     freesId_ = stats_.registerCounter("frees");
-    const std::uint64_t total_frames =
-        module.geometry().capacity() / pageSize;
-    // Same rationale as the DRAM store: avoid page-database rehashes
-    // during allocation storms without paying for giant machines.
-    pages_.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(total_frames, 32768)));
+    const std::uint64_t total_frames = headOrders_.size();
     for (const ZoneSpec &spec : specs) {
         for (const FrameSpan &span : spec.spans) {
             if (span.endPfn() > total_frames) {
@@ -105,8 +101,7 @@ PhysicalMemory::PhysicalMemory(dram::DramModule &module,
 }
 
 std::optional<Pfn>
-PhysicalMemory::allocate(const GfpFlags &flags, unsigned order,
-                         std::int32_t owner)
+PhysicalMemory::allocate(const GfpFlags &flags, unsigned order)
 {
     stats_.at(allocsId_).increment();
     bool first = true;
@@ -116,7 +111,7 @@ PhysicalMemory::allocate(const GfpFlags &flags, unsigned order,
             if (auto pfn = candidate->allocate(order)) {
                 if (!first)
                     stats_.at(fallbacksId_).increment();
-                pages_[*pfn] = PageInfo{flags.kind, owner, order};
+                headOrders_[*pfn] = static_cast<std::uint8_t>(order + 1);
                 // Fresh pages are handed out zeroed.
                 static const std::array<std::uint8_t, pageSize> zeros{};
                 for (std::uint64_t i = 0; i < (1ULL << order); ++i) {
@@ -137,14 +132,11 @@ PhysicalMemory::allocate(const GfpFlags &flags, unsigned order,
 void
 PhysicalMemory::free(Pfn pfn)
 {
-    auto it = pages_.find(pfn);
-    if (it == pages_.end())
-        ctamem_panic("free of unallocated pfn ", pfn);
-    Zone *owner_zone = zoneOf(pfn);
-    if (!owner_zone)
-        ctamem_panic("free of pfn ", pfn, " outside every zone");
-    owner_zone->free(pfn, it->second.order);
-    pages_.erase(it);
+    const std::optional<unsigned> order = blockOrder(pfn);
+    if (!order)
+        ctamem_panic("free of pfn ", pfn, ", which heads no live block");
+    zoneOf(pfn)->free(pfn, *order);
+    headOrders_[pfn] = 0;
     stats_.at(freesId_).increment();
 }
 
@@ -178,27 +170,12 @@ PhysicalMemory::zone(ZoneId id) const
     return const_cast<PhysicalMemory *>(this)->zone(id);
 }
 
-PageInfo
-PhysicalMemory::pageInfo(Pfn pfn) const
+std::optional<unsigned>
+PhysicalMemory::blockOrder(Pfn pfn) const
 {
-    auto it = pages_.find(pfn);
-    return it == pages_.end() ? PageInfo{} : it->second;
-}
-
-PageKind
-PhysicalMemory::kindOf(Pfn pfn) const
-{
-    // Find the allocation block head covering this frame.
-    for (unsigned order = 0; order <= BuddyAllocator::maxOrder;
-         ++order) {
-        const Pfn head = pfn & ~((1ULL << order) - 1);
-        auto it = pages_.find(head);
-        if (it != pages_.end() && it->second.order == order &&
-            head + (1ULL << order) > pfn) {
-            return it->second.kind;
-        }
-    }
-    return PageKind::Free;
+    if (pfn >= headOrders_.size() || headOrders_[pfn] == 0)
+        return std::nullopt;
+    return headOrders_[pfn] - 1u;
 }
 
 std::uint64_t

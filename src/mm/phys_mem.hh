@@ -1,7 +1,7 @@
 /**
  * @file
- * The machine's physical memory: zones + zonelist fallback + the page
- * database, layered over one simulated DRAM module.
+ * The machine's physical memory: zones + zonelist fallback + the
+ * order of every live block, layered over one simulated DRAM module.
  */
 
 #ifndef CTAMEM_MM_PHYS_MEM_HH
@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -19,14 +18,6 @@
 #include "mm/zone.hh"
 
 namespace ctamem::mm {
-
-/** Per-frame bookkeeping (sparse: only allocated frames have one). */
-struct PageInfo
-{
-    PageKind kind = PageKind::Free;
-    std::int32_t owner = -1; //!< owning pid, or -1 for the kernel
-    unsigned order = 0;      //!< allocation order of the block head
-};
 
 /**
  * Standard x86-64 zone layout over [0, top_limit):
@@ -59,11 +50,20 @@ class PhysicalMemory
      * page-table pages.
      */
     std::optional<Pfn> allocate(const GfpFlags &flags,
-                                unsigned order = 0,
-                                std::int32_t owner = -1);
+                                unsigned order = 0);
 
-    /** Free a block returned by allocate(). */
+    /**
+     * Free a block returned by allocate().  Panics unless @p pfn
+     * heads a live block: a frame never allocated, an interior frame
+     * of a block and a double free are all bugs.
+     */
     void free(Pfn pfn);
+
+    /**
+     * Order of the live block @p pfn heads; nullopt for a free frame
+     * and for an interior frame of a block.
+     */
+    std::optional<unsigned> blockOrder(Pfn pfn) const;
 
     /** Zone containing @p pfn, or nullptr. */
     Zone *zoneOf(Pfn pfn);
@@ -72,12 +72,6 @@ class PhysicalMemory
     /** Zone by id, or nullptr when the machine has none. */
     Zone *zone(ZoneId id);
     const Zone *zone(ZoneId id) const;
-
-    /** Page info of the block head @p pfn (Free default if unknown). */
-    PageInfo pageInfo(Pfn pfn) const;
-
-    /** Kind recorded for the *block containing* @p pfn. */
-    PageKind kindOf(Pfn pfn) const;
 
     /** Total frames across all zones. */
     std::uint64_t totalFrames() const;
@@ -91,8 +85,11 @@ class PhysicalMemory
   private:
     dram::DramModule &module_;
     std::vector<Zone> zones_;
-    /** Head-frame -> info for live allocations. */
-    std::unordered_map<Pfn, PageInfo> pages_;
+    /**
+     * Per frame: 1 + the order of the live block it heads, 0 when it
+     * heads none — the order Linux keeps in a head's struct page.
+     */
+    std::vector<std::uint8_t> headOrders_;
     StatGroup stats_;
     StatId allocsId_;
     StatId fallbacksId_;

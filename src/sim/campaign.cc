@@ -65,16 +65,14 @@ Campaign::addGrid(const std::vector<MachineConfig> &configs,
 }
 
 CellResult
-runCell(const CampaignCell &cell, const BootFn &boot)
+runCell(const CampaignCell &cell)
 {
     const Clock::time_point start = Clock::now();
-    const std::unique_ptr<Machine> machine =
-        boot ? boot(cell.config) : std::make_unique<Machine>(cell.config);
+    Machine machine(cell.config);
     CellResult out;
     out.cell = cell;
-    out.result = machine->runAttack(cell.attack);
-    out.anvilTriggered =
-        machine->anvil() && machine->anvil()->triggered();
+    out.result = machine.runAttack(cell.attack);
+    out.anvilTriggered = machine.anvil() && machine.anvil()->triggered();
     out.wallSeconds = secondsSince(start);
     return out;
 }

@@ -15,8 +15,6 @@
 #ifndef CTAMEM_SIM_CAMPAIGN_HH
 #define CTAMEM_SIM_CAMPAIGN_HH
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -107,19 +105,11 @@ class Campaign
 };
 
 /**
- * Boots a machine for a cell's config.  The campaign service passes
- * one that restores a post-boot snapshot of an identical config, or
- * cold-boots and captures one.
+ * The one cell executor: boot a machine from the cell's config, run
+ * its attack and fill in the CellResult.  wallSeconds covers the
+ * boot and the attack.
  */
-using BootFn =
-    std::function<std::unique_ptr<Machine>(const MachineConfig &)>;
-
-/**
- * The one cell executor: boot a machine for the cell's config (a
- * cold boot unless @p boot is given), run its attack and fill in the
- * CellResult.  wallSeconds covers the boot and the attack.
- */
-CellResult runCell(const CampaignCell &cell, const BootFn &boot = {});
+CellResult runCell(const CampaignCell &cell);
 
 } // namespace ctamem::sim
 

@@ -11,20 +11,6 @@ using defense::DefenseKind;
 
 Machine::Machine(const MachineConfig &config) : config_(config)
 {
-    assemble(nullptr);
-}
-
-Machine::Machine(const MachineConfig &config,
-                 const kernel::BootImage &image)
-    : config_(config)
-{
-    assemble(&image);
-}
-
-void
-Machine::assemble(const kernel::BootImage *image)
-{
-    const MachineConfig &config = config_;
     const defense::DefenseSpec *spec =
         defense::Registry::instance().find(config.defense);
     if (!spec) {
@@ -46,9 +32,7 @@ Machine::assemble(const kernel::BootImage *image)
         spec->configureKernel(config, kconfig);
     kconfig.arch = &paging::resolveArch(config.arch, config.granule);
 
-    kernel_ = image
-        ? std::make_unique<kernel::Kernel>(kconfig, *image)
-        : std::make_unique<kernel::Kernel>(kconfig);
+    kernel_ = std::make_unique<kernel::Kernel>(kconfig);
 
     // Campaign workloads (spray, Drammer arenas) touch most of the
     // module, so pre-size the frame table up front instead of paying

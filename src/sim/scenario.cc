@@ -87,30 +87,6 @@ requireSize(bool ok, const char *key, const char *what,
     }
 }
 
-/**
- * The DRAM geometry and ZONE_PTP sizes a boot would reject, checked
- * once every key is read so key order does not matter.
- */
-void
-checkSizes(const MachineConfig &config)
-{
-    requireSize(isPowerOfTwo(config.memBytes), "memBytes",
-                "a power of two", config.memBytes);
-    requireSize(isPowerOfTwo(config.banks), "banks", "a power of two",
-                config.banks);
-    requireSize(isPowerOfTwo(config.rowBytes) &&
-                    config.rowBytes >= pageSize,
-                "rowBytes", "a power of two of at least 4 KiB",
-                config.rowBytes);
-    requireSize(isPowerOfTwo(config.ptpBytes) &&
-                    config.ptpBytes % config.rowBytes == 0 &&
-                    config.ptpBytes <= config.memBytes / 2,
-                "ptpBytes",
-                "a power of two, a multiple of rowBytes and at most "
-                "half of memBytes",
-                config.ptpBytes);
-}
-
 Json
 fuzzToJson(const fuzz::FuzzParams &params)
 {
@@ -255,8 +231,17 @@ machineConfigFromJson(const Json &j, const MachineConfig &base)
         else
             unknownKey("MachineConfig", key);
     }
-    // Reject unbuildable (arch, granule) pairs at parse time, where
-    // the error can name the manifest instead of aborting the run.
+    // Checked once every key is read, so key order does not matter.
+    checkMachineConfig(config);
+    return config;
+}
+
+void
+checkMachineConfig(const MachineConfig &config)
+{
+    // Unbuildable (arch, granule) pairs and the DRAM geometry and
+    // ZONE_PTP sizes a boot would reject fail here, where the error
+    // can name the key instead of aborting the run.
     if (config.arch == paging::Isa::X86_64) {
         if (config.granule != 4 * KiB)
             throw JsonError("x86_64 supports only the 4 KiB granule");
@@ -265,8 +250,21 @@ machineConfigFromJson(const Json &j, const MachineConfig &base)
                config.granule != 64 * KiB) {
         throw JsonError("aarch64 granule must be 4, 16 or 64 KiB");
     }
-    checkSizes(config);
-    return config;
+    requireSize(isPowerOfTwo(config.memBytes), "memBytes",
+                "a power of two", config.memBytes);
+    requireSize(isPowerOfTwo(config.banks), "banks", "a power of two",
+                config.banks);
+    requireSize(isPowerOfTwo(config.rowBytes) &&
+                    config.rowBytes >= pageSize,
+                "rowBytes", "a power of two of at least 4 KiB",
+                config.rowBytes);
+    requireSize(isPowerOfTwo(config.ptpBytes) &&
+                    config.ptpBytes % config.rowBytes == 0 &&
+                    config.ptpBytes <= config.memBytes / 2,
+                "ptpBytes",
+                "a power of two, a multiple of rowBytes and at most "
+                "half of memBytes",
+                config.ptpBytes);
 }
 
 Json

@@ -80,6 +80,15 @@ json::Json toJson(const MachineConfig &config);
  */
 MachineConfig machineConfigFromJson(const json::Json &j,
                                     const MachineConfig &base = {});
+
+/**
+ * The checks machineConfigFromJson applies to every parsed config:
+ * throws json::JsonError naming the key when @p config has an
+ * unbuildable (arch, granule) pair or DRAM or ZONE_PTP sizes a boot
+ * would reject.  For configs built in code, e.g. from command-line
+ * flags.
+ */
+void checkMachineConfig(const MachineConfig &config);
 /** @} */
 
 /** @name CampaignCell / results <-> JSON */

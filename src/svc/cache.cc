@@ -24,30 +24,17 @@ hexDigest(std::uint64_t value)
     return buffer;
 }
 
-std::string
-keyOf(const json::Json &j)
-{
-    const std::string dump = j.dump();
-    const std::uint64_t content = hashBytes(dump.data(), dump.size());
-    // Chained with the result-cache *epoch*, not the schema version:
-    // additive schema bumps (v3 -> v4) leave canonical dumps — and so
-    // cached results — for unchanged machines intact.
-    return hexDigest(
-        stableHash(content, sim::kResultCacheEpoch));
-}
-
 } // namespace
 
 std::string
 cellCacheKey(const sim::CampaignCell &cell)
 {
-    return keyOf(sim::toJson(cell));
-}
-
-std::string
-configCacheKey(const sim::MachineConfig &config)
-{
-    return keyOf(sim::toJson(config));
+    const std::string dump = sim::toJson(cell).dump();
+    const std::uint64_t content = hashBytes(dump.data(), dump.size());
+    // Chained with the result-cache *epoch*, not the schema version:
+    // additive schema bumps (v3 -> v4) leave canonical dumps — and so
+    // cached results — for unchanged machines intact.
+    return hexDigest(stableHash(content, sim::kResultCacheEpoch));
 }
 
 ResultCache::ResultCache(std::size_t mem_entries,

@@ -102,9 +102,6 @@ class ResultCache
  */
 std::string cellCacheKey(const sim::CampaignCell &cell);
 
-/** Content-address of a machine config (snapshot-store key). */
-std::string configCacheKey(const sim::MachineConfig &config);
-
 } // namespace ctamem::svc
 
 #endif // CTAMEM_SVC_CACHE_HH

@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <utility>
 
 #include "common/log.hh"
 #include "fuzz/fuzzer.hh"
 #include "sim/scenario.hh"
-#include "svc/snapshot.hh"
 #include "svc/wire.hh"
 
 namespace ctamem::svc {
@@ -20,9 +20,6 @@ using sim::CellResult;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/** Distinct configs whose snapshot blobs are kept (LRU). */
-constexpr std::size_t kSnapshotEntries = 32;
 
 double
 secondsSince(Clock::time_point start)
@@ -82,45 +79,6 @@ CampaignService::waitIdle()
     idle_.wait(lock, [this] { return pendingCells_ == 0; });
 }
 
-std::unique_ptr<sim::Machine>
-CampaignService::bootMachine(const sim::MachineConfig &config)
-{
-    const std::string key = configCacheKey(config);
-
-    std::shared_ptr<const std::vector<std::uint8_t>> blob;
-    {
-        std::lock_guard<std::mutex> lock(snapshotMutex_);
-        auto it = snapshots_.find(key);
-        if (it != snapshots_.end())
-            blob = it->second;
-    }
-
-    if (blob) {
-        auto machine = restoreMachine(
-            deserialize(blob->data(), blob->size()));
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        ++counters_.snapshotRestores;
-        return machine;
-    }
-
-    auto machine = std::make_unique<sim::Machine>(config);
-    auto taken = std::make_shared<const std::vector<std::uint8_t>>(
-        serialize(captureSnapshot(*machine)));
-    {
-        std::lock_guard<std::mutex> lock(snapshotMutex_);
-        if (snapshots_.emplace(key, std::move(taken)).second) {
-            snapshotLru_.push_back(key);
-            while (snapshots_.size() > kSnapshotEntries) {
-                snapshots_.erase(snapshotLru_.front());
-                snapshotLru_.pop_front();
-            }
-        }
-    }
-    std::lock_guard<std::mutex> lock(countersMutex_);
-    ++counters_.snapshotCaptures;
-    return machine;
-}
-
 CampaignService::CellOutcome
 CampaignService::runCellCached(const CampaignCell &cell)
 {
@@ -138,10 +96,7 @@ CampaignService::runCellCached(const CampaignCell &cell)
     }
 
     CellOutcome outcome;
-    outcome.result = sim::runCell(
-        cell, [this](const sim::MachineConfig &config) {
-            return bootMachine(config);
-        });
+    outcome.result = sim::runCell(cell);
     outcome.cached = false;
     cache_.insert(key, sim::toJson(outcome.result));
     std::lock_guard<std::mutex> lock(countersMutex_);
@@ -161,11 +116,6 @@ CampaignService::statsJson()
     {
         std::lock_guard<std::mutex> lock(pendingMutex_);
         pending = pendingCells_;
-    }
-    std::size_t snapshotCount;
-    {
-        std::lock_guard<std::mutex> lock(snapshotMutex_);
-        snapshotCount = snapshots_.size();
     }
 
     Json resultCache = Json::object();
@@ -210,10 +160,10 @@ CampaignService::statsJson()
         .set("jobsRejected", counters.jobsRejected)
         .set("cellsExecuted", counters.cellsExecuted)
         .set("cellsCached", counters.cellsCached)
-        .set("snapshotCaptures", counters.snapshotCaptures)
-        .set("snapshotRestores", counters.snapshotRestores)
-        .set("snapshotEntries",
-             static_cast<std::uint64_t>(snapshotCount))
+        // Misses boot cold, so nothing is captured or restored; both
+        // keys stay, at 0, because perfbench's svc-session reads them.
+        .set("snapshotCaptures", std::uint64_t{0})
+        .set("snapshotRestores", std::uint64_t{0})
         .set("resultCache", std::move(resultCache))
         .set("profileCache", std::move(profileCache))
         .set("fuzz", std::move(fuzzJson));

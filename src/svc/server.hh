@@ -7,19 +7,19 @@
  * a manifest-ordered CampaignReport when the whole submission is
  * done.
  *
- * Three mechanisms make the service cheaper than one-shot runs:
+ * Two mechanisms make the service cheaper than one-shot runs:
  *
  *  - results are memoized in a two-tier content-addressed cache
  *    (svc/cache.hh): resubmitting a manifest — the common loop while
  *    editing one — replays stored rows verbatim, and the replayed
  *    report is bit-identical to the cold run's;
- *  - machines warm-start from snapshots (svc/snapshot.hh): the first
- *    cell of each distinct MachineConfig boots cold and captures a
- *    blob post-boot, later cells restore it and skip the CTA zone
- *    scans;
  *  - backpressure: a submission whose cells would push the in-flight
  *    count past the queue capacity is rejected up front with a
  *    "queue-full" frame instead of being buffered unboundedly.
+ *
+ * A cache miss is a plain sim::runCell: the machine boots cold from
+ * the cell's config, since a boot is a pure function of the config
+ * and costs less than restoring a snapshot would.
  */
 
 #ifndef CTAMEM_SVC_SERVER_HH
@@ -28,12 +28,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "runtime/thread_pool.hh"
 #include "svc/cache.hh"
@@ -60,8 +56,6 @@ struct ServiceCounters
     std::uint64_t jobsRejected = 0;
     std::uint64_t cellsExecuted = 0; //!< ran a machine
     std::uint64_t cellsCached = 0;   //!< served from the result cache
-    std::uint64_t snapshotCaptures = 0;
-    std::uint64_t snapshotRestores = 0;
 };
 
 /** The campaign server.  One instance serves one session at a time. */
@@ -89,9 +83,9 @@ class CampaignService
     };
 
     /**
-     * Run one cell through the cache and sim::runCell, booting its
-     * machine from a snapshot when one is held — the unit of work
-     * serve() dispatches per cell, exposed for benches and tests.
+     * Run one cell through the cache and sim::runCell — the unit of
+     * work serve() dispatches per cell, exposed for benches and
+     * tests.
      */
     CellOutcome runCellCached(const sim::CampaignCell &cell);
 
@@ -108,26 +102,12 @@ class CampaignService
 
     void handleSubmit(const json::Json &request, std::ostream &out);
 
-    /**
-     * Restore a machine from the snapshot held for @p config, or
-     * cold-boot one and keep its snapshot for later cells.
-     */
-    std::unique_ptr<sim::Machine>
-    bootMachine(const sim::MachineConfig &config);
-
     /** Block until no cells are in flight. */
     void waitIdle();
 
     ServiceConfig config_;
     ResultCache cache_;
     runtime::ThreadPool pool_;
-
-    /** Snapshot blobs by configCacheKey, LRU-bounded. */
-    std::mutex snapshotMutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const std::vector<std::uint8_t>>>
-        snapshots_;
-    std::list<std::string> snapshotLru_;
 
     mutable std::mutex countersMutex_;
     ServiceCounters counters_;

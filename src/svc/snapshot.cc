@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "sim/scenario.hh"
 
@@ -17,12 +18,6 @@ constexpr std::uint64_t kMagic = 0x50414e534d415443ULL;
 class Writer
 {
   public:
-    void
-    u8(std::uint8_t value)
-    {
-        bytes_.push_back(value);
-    }
-
     void
     u32(std::uint32_t value)
     {
@@ -51,16 +46,6 @@ class Writer
         raw(value.data(), value.size());
     }
 
-    void
-    spanList(const std::vector<mm::FrameSpan> &spans)
-    {
-        u32(static_cast<std::uint32_t>(spans.size()));
-        for (const mm::FrameSpan &span : spans) {
-            u64(span.basePfn);
-            u64(span.frames);
-        }
-    }
-
     std::vector<std::uint8_t>
     finish()
     {
@@ -81,13 +66,6 @@ class Reader
     Reader(const std::uint8_t *data, std::size_t size)
         : data_(data), size_(size)
     {}
-
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return data_[pos_++];
-    }
 
     std::uint32_t
     u32()
@@ -130,24 +108,6 @@ class Reader
         return value;
     }
 
-    std::vector<mm::FrameSpan>
-    spanList()
-    {
-        const std::uint32_t count = u32();
-        // Each span is 16 bytes; reject counts the blob cannot hold
-        // before allocating.
-        need(static_cast<std::size_t>(count) * 16);
-        std::vector<mm::FrameSpan> spans;
-        spans.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            mm::FrameSpan span;
-            span.basePfn = u64();
-            span.frames = u64();
-            spans.push_back(span);
-        }
-        return spans;
-    }
-
     std::size_t pos() const { return pos_; }
     std::size_t remaining() const { return size_ - pos_; }
 
@@ -169,9 +129,16 @@ class Reader
 MachineSnapshot
 captureSnapshot(sim::Machine &machine)
 {
+    kernel::Kernel &kernel = machine.kernel();
+    if (kernel.processCount() != 0 || !kernel.pageTableFrames().empty()) {
+        fatal("captureSnapshot: only a freshly booted machine can be "
+              "snapshotted (", kernel.processCount(), " processes, ",
+              kernel.pageTableFrames().size(),
+              " page-table frames live)");
+    }
     MachineSnapshot snapshot;
     snapshot.config = machine.config();
-    snapshot.image = machine.kernel().bootImage();
+    snapshot.simTime = kernel.now();
     if (defense::ObserverDefense *observer = machine.observer())
         snapshot.observerRng = observer->rngState();
 
@@ -192,8 +159,7 @@ captureSnapshot(sim::Machine &machine)
 std::unique_ptr<sim::Machine>
 restoreMachine(const MachineSnapshot &snapshot)
 {
-    auto machine = std::make_unique<sim::Machine>(snapshot.config,
-                                                  snapshot.image);
+    auto machine = std::make_unique<sim::Machine>(snapshot.config);
     dram::SparseStore &store = machine->dram().store();
     store.clear();
     for (const MachineSnapshot::Frame &frame : snapshot.frames) {
@@ -204,6 +170,8 @@ restoreMachine(const MachineSnapshot &snapshot)
         if (defense::ObserverDefense *observer = machine->observer())
             observer->setRngState(snapshot.observerRng);
     }
+    // A cold boot starts at time 0.
+    machine->kernel().advance(snapshot.simTime);
     return machine;
 }
 
@@ -214,29 +182,7 @@ serialize(const MachineSnapshot &snapshot)
     writer.u64(kMagic);
     writer.u32(kSnapshotVersion);
     writer.str(sim::toJson(snapshot.config).dump());
-
-    const kernel::BootImage &image = snapshot.image;
-    writer.u8(image.ptpLayout ? 1 : 0);
-    if (image.ptpLayout) {
-        const cta::PtpLayout &layout = *image.ptpLayout;
-        writer.u64(layout.lowWaterMark);
-        writer.u64(layout.trueBytes);
-        writer.u64(layout.skippedAntiBytes);
-        writer.u64(layout.screenedFrames);
-        writer.u8(layout.multiLevel ? 1 : 0);
-        writer.spanList(layout.spans);
-        for (unsigned level = 1; level <= 4; ++level)
-            writer.spanList(layout.levelSpans[level]);
-    }
-
-    writer.u32(static_cast<std::uint32_t>(image.physSpecs.size()));
-    for (const mm::ZoneSpec &spec : image.physSpecs) {
-        writer.u8(static_cast<std::uint8_t>(spec.id));
-        writer.spanList(spec.spans);
-    }
-    writer.u64(image.secretPfn);
-    writer.u64(image.secretAddr);
-    writer.u64(image.simTime);
+    writer.u64(snapshot.simTime);
 
     writer.u32(static_cast<std::uint32_t>(
         snapshot.observerRng.size()));
@@ -286,34 +232,7 @@ deserialize(const std::uint8_t *data, std::size_t size)
                             err.what());
     }
 
-    if (reader.u8()) {
-        cta::PtpLayout layout;
-        layout.lowWaterMark = reader.u64();
-        layout.trueBytes = reader.u64();
-        layout.skippedAntiBytes = reader.u64();
-        layout.screenedFrames = reader.u64();
-        layout.multiLevel = reader.u8() != 0;
-        layout.spans = reader.spanList();
-        for (unsigned level = 1; level <= 4; ++level)
-            layout.levelSpans[level] = reader.spanList();
-        snapshot.image.ptpLayout = std::move(layout);
-    }
-
-    const std::uint32_t specCount = reader.u32();
-    snapshot.image.physSpecs.reserve(specCount);
-    for (std::uint32_t i = 0; i < specCount; ++i) {
-        mm::ZoneSpec spec;
-        // ZONE_PTP's zones are rebuilt from the layout, never stored.
-        const std::uint8_t id = reader.u8();
-        if (id >= static_cast<std::uint8_t>(mm::ZoneId::Ptp))
-            throw SnapshotError("snapshot blob names an unknown zone");
-        spec.id = static_cast<mm::ZoneId>(id);
-        spec.spans = reader.spanList();
-        snapshot.image.physSpecs.push_back(std::move(spec));
-    }
-    snapshot.image.secretPfn = reader.u64();
-    snapshot.image.secretAddr = reader.u64();
-    snapshot.image.simTime = reader.u64();
+    snapshot.simTime = reader.u64();
 
     const std::uint32_t rngWords = reader.u32();
     snapshot.observerRng.reserve(rngWords);

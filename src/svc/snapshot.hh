@@ -1,16 +1,16 @@
 /**
  * @file
- * Machine snapshot/restore: the warm-start path of the campaign
- * service.
+ * Machine snapshot/restore.
  *
- * A snapshot captures a freshly booted machine — MachineConfig,
- * kernel boot image (zone specs, ZONE_PTP layout, secret frame),
- * observer RNG state, and the materialized SparseStore frames — into
- * a versioned, checksummed binary blob.  Restoring rebuilds an
- * equivalent machine without re-running the CTA zone scans (the row
- * walk and PS-bit screening that dominate a CTA boot), and attack
- * runs on the restored machine are bit-identical to runs on a cold
- * boot (property-tested).
+ * A snapshot captures a freshly booted machine — its MachineConfig,
+ * sim time, observer RNG state and materialized SparseStore frames —
+ * into a versioned, checksummed binary blob.  A machine is a pure
+ * function of its config, so restoring cold-boots the stored config
+ * and writes the rest back; attack runs on the restored machine are
+ * bit-identical to runs on a cold boot (property-tested).
+ *
+ * ctamemd cold-boots every cache miss and never snapshots; perfbench
+ * still times a capture and a restore (`svc.snapshot_*_ms`).
  *
  * Snapshots are only taken post-boot, before any process exists:
  * the blob deliberately carries no process, VMA or page-table state.
@@ -47,7 +47,7 @@ struct MachineSnapshot
     };
 
     sim::MachineConfig config;
-    kernel::BootImage image;
+    SimTime simTime = 0;
     /** Observer generator words; empty for RNG-free defenses. */
     std::vector<std::uint64_t> observerRng;
     /** Materialized frames, ascending pfn. */
@@ -56,13 +56,13 @@ struct MachineSnapshot
 
 /**
  * Capture @p machine into a snapshot.  Fatal unless the machine is in
- * its post-boot state (see kernel::Kernel::bootImage).
+ * its post-boot state: no process and no page-table frame.
  */
 MachineSnapshot captureSnapshot(sim::Machine &machine);
 
 /**
- * Build a machine from @p snapshot: warm-boot the kernel from the
- * boot image, then restore DRAM contents and observer RNG state.
+ * Build a machine from @p snapshot: cold-boot its config, then
+ * restore DRAM contents, observer RNG state and sim time.
  */
 std::unique_ptr<sim::Machine>
 restoreMachine(const MachineSnapshot &snapshot);
@@ -77,7 +77,7 @@ restoreMachine(const MachineSnapshot &snapshot);
 /** @{ */
 
 /** Current blob format version. */
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 std::vector<std::uint8_t> serialize(const MachineSnapshot &snapshot);
 

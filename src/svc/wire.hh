@@ -13,6 +13,11 @@
  *
  *   {"type":"ping"}          -> {"type":"pong"}
  *   {"type":"stats"}         -> {"type":"stats", ...counters...}
+ *                               ("snapshotCaptures" and
+ *                               "snapshotRestores" are always 0:
+ *                               misses boot cold, and the keys stay
+ *                               because perfbench's svc-session
+ *                               reads them)
  *   {"type":"shutdown"}      -> {"type":"bye"}, then the server exits
  *   {"type":"submit","id":J,"manifest":{...}}
  *     -> {"type":"rejected","id":J,"reason":"queue-full",...}   (backpressure)

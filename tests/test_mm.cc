@@ -18,13 +18,6 @@
 namespace ctamem::mm {
 namespace {
 
-/** Helper: a page-table request against ZONE_NORMAL (pre-CTA). */
-GfpFlags
-GFP_PTP_like()
-{
-    return GfpFlags{ZoneId::Normal, false, PageKind::PageTable};
-}
-
 TEST(Buddy, AllocatesAllFramesAtOrderZero)
 {
     BuddyAllocator buddy(0, 64);
@@ -189,7 +182,7 @@ TEST_F(PhysMemTest, NormalRequestFallsBackToDma32)
 
 TEST_F(PhysMemTest, NoFallbackHonored)
 {
-    GfpFlags strict{ZoneId::Normal, true, PageKind::KernelData};
+    GfpFlags strict{ZoneId::Normal, true};
     EXPECT_FALSE(phys_->allocate(strict).has_value());
     EXPECT_GT(phys_->stats().value("failures"), 0u);
 }
@@ -197,11 +190,11 @@ TEST_F(PhysMemTest, NoFallbackHonored)
 TEST_F(PhysMemTest, PagesComeOutZeroed)
 {
     // Dirty a frame directly, free it, re-allocate: must be zeroed.
-    auto pfn = phys_->allocate(GFP_USER);
+    auto pfn = phys_->allocate(GFP_KERNEL);
     ASSERT_TRUE(pfn);
     module_->writeU64(pfnToAddr(*pfn), 0x1234567890abcdefULL);
     phys_->free(*pfn);
-    auto again = phys_->allocate(GFP_USER);
+    auto again = phys_->allocate(GFP_KERNEL);
     ASSERT_TRUE(again);
     EXPECT_EQ(*again, *pfn); // deterministic reuse
     EXPECT_EQ(module_->readU64(pfnToAddr(*again)), 0u);
@@ -209,20 +202,40 @@ TEST_F(PhysMemTest, PagesComeOutZeroed)
 
 TEST_F(PhysMemTest, PageInfoAndKind)
 {
-    auto pfn = phys_->allocate(GFP_PTP_like());
+    // A block's head records its order until the block is freed.
+    auto pfn = phys_->allocate(GFP_KERNEL);
     ASSERT_TRUE(pfn);
-    EXPECT_EQ(phys_->pageInfo(*pfn).kind, PageKind::PageTable);
-    EXPECT_EQ(phys_->kindOf(*pfn), PageKind::PageTable);
+    EXPECT_EQ(phys_->blockOrder(*pfn), 0u);
     phys_->free(*pfn);
-    EXPECT_EQ(phys_->kindOf(*pfn), PageKind::Free);
+    EXPECT_EQ(phys_->blockOrder(*pfn), std::nullopt);
 }
 
 TEST_F(PhysMemTest, KindOfInteriorFrame)
 {
-    GfpFlags flags = GFP_USER;
-    auto pfn = phys_->allocate(flags, 3); // 8 frames
+    // Only the head of an 8-frame block carries its order, and
+    // freeing the head returns all 8 frames.
+    const std::uint64_t free_before = phys_->freeFrames();
+    auto pfn = phys_->allocate(GFP_KERNEL, 3);
     ASSERT_TRUE(pfn);
-    EXPECT_EQ(phys_->kindOf(*pfn + 5), PageKind::UserData);
+    EXPECT_EQ(phys_->blockOrder(*pfn), 3u);
+    for (Pfn interior = *pfn + 1; interior < *pfn + 8; ++interior)
+        EXPECT_EQ(phys_->blockOrder(interior), std::nullopt);
+    EXPECT_EQ(phys_->freeFrames(), free_before - 8);
+    phys_->free(*pfn);
+    EXPECT_EQ(phys_->freeFrames(), free_before);
+}
+
+TEST_F(PhysMemTest, BadFreesPanic)
+{
+    auto pfn = phys_->allocate(GFP_KERNEL, 3);
+    ASSERT_TRUE(pfn);
+    // A frame never allocated (the fixture allocates nothing else).
+    EXPECT_DEATH(phys_->free(*pfn + 8), "heads no live block");
+    // An interior frame of a live block.
+    EXPECT_DEATH(phys_->free(*pfn + 5), "heads no live block");
+    // A double free.
+    phys_->free(*pfn);
+    EXPECT_DEATH(phys_->free(*pfn), "heads no live block");
 }
 
 TEST_F(PhysMemTest, DmaStaysInDma)

@@ -257,6 +257,21 @@ struct GeometryCase
     dram::AddressScheme scheme;
 };
 
+/**
+ * Names a case by its fields, e.g. 256MiB_128KiB_8banks_RowInterleaved.
+ * Without it gtest prints the struct's bytes, padding included, so
+ * the test names would change from build to build.
+ */
+void
+PrintTo(const GeometryCase &param, std::ostream *os)
+{
+    *os << param.capacity / MiB << "MiB_" << param.rowBytes / KiB
+        << "KiB_" << param.banks << "banks_"
+        << (param.scheme == dram::AddressScheme::BankBlocked
+                ? "BankBlocked"
+                : "RowInterleaved");
+}
+
 class GeometryProperty
     : public ::testing::TestWithParam<GeometryCase>
 {
