@@ -638,11 +638,34 @@ TEST(Service, ShutdownAnswersByeAndStops)
     EXPECT_EQ(responses[0].at("type").asString(), "bye");
 }
 
+/**
+ * The deterministic fields of one report cell, in the order
+ * tests/golden/scenario_cells.json lists them (wallSeconds is host
+ * time and stays out).
+ */
+Json
+pinnedFields(const Json &cell)
+{
+    Json row = Json::object();
+    row.set("label", cell.at("cell").at("label"))
+        .set("attack", cell.at("cell").at("attack"));
+    for (const char *key :
+         {"outcome", "detail", "attackTime", "hammerPasses",
+          "flipsInduced", "ptesCorrupted", "selfReferences",
+          "anvilTriggered"})
+        row.set(key, cell.at(key));
+    return row;
+}
+
 TEST(Service, CheckedInManifestsReplayBitIdentically)
 {
-    // The PR's golden guarantee: resubmitting any checked-in
-    // manifest yields a report whose cells are byte-identical to the
-    // cold run's.
+    // Resubmitting any checked-in manifest yields a report whose
+    // cells are byte-identical to the cold run's, and the cold run
+    // matches the pinned golden on every deterministic field
+    // (regenerate with scripts/scenario_cells.py only for a
+    // deliberate change of simulated results).
+    const Json golden = Json::parseFile(
+        repoPath("tests/golden/scenario_cells.json"));
     CampaignService service(testServiceConfig());
     std::size_t manifests = 0;
     for (const auto &entry : std::filesystem::directory_iterator(
@@ -668,8 +691,20 @@ TEST(Service, CheckedInManifestsReplayBitIdentically)
         EXPECT_EQ(cold.back().at("report").at("cells").dump(),
                   warm.back().at("report").at("cells").dump())
             << entry.path();
+
+        const Json *pinned =
+            golden.find(entry.path().filename().string());
+        ASSERT_NE(pinned, nullptr) << entry.path() << " has no golden";
+        const auto &got = cold.back().at("report").at("cells").items();
+        ASSERT_EQ(got.size(), pinned->size()) << entry.path();
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(pinnedFields(got[i]).dump(),
+                      pinned->items()[i].dump())
+                << entry.path() << " cell " << i;
+        }
     }
     EXPECT_GE(manifests, 4u);
+    EXPECT_EQ(manifests, golden.size());
 }
 
 } // namespace
