@@ -343,16 +343,17 @@ RowHammerEngine::hammerDoubleSided(std::uint64_t bank,
     if (bank >= geom.banks() || victim_row >= geom.rowsPerBank())
         fatal("hammerDoubleSided: row out of range");
 
-    HammerResult result;
-    stats_.at(passesId_).increment();
-
     const std::uint64_t victim = module_.deviceRow(bank, victim_row);
     const std::uint64_t rows = geom.rowsPerBank();
     if (victim == 0 || victim + 1 >= rows) {
         // No sandwich possible at the bank edge; fall back to
-        // single-sided behaviour on the one existing neighbour.
+        // single-sided behaviour on the one existing neighbour
+        // (hammerRow counts the pass).
         return hammerRow(bank, victim_row);
     }
+
+    HammerResult result;
+    stats_.at(passesId_).increment();
 
     bool suppressed = false;
     if (observer_) {

@@ -206,14 +206,26 @@ TEST(Hammer, VulnerableBitScanMatchesFaultModel)
 
 TEST(Hammer, EdgeRowFallsBackToSingleSided)
 {
+    // Victim at row 0 has no row above it: the pass is exactly one
+    // single-sided pass on row 0, counted once, with the flips a
+    // twin module's hammerRow(0, 0) induces.
+    auto filled = [](DramModule &module) {
+        fillRow(module, 0, 0xff);
+        fillRow(module, 1, 0xff);
+    };
     DramModule module(hammerConfig());
     RowHammerEngine engine(module);
-    fillRow(module, 0, 0xff);
-    fillRow(module, 1, 0xff);
-    // Victim at row 0 has no row above it: must not crash.
+    filled(module);
     const HammerResult result = engine.hammerDoubleSided(0, 0);
-    (void)result;
-    SUCCEED();
+    EXPECT_EQ(engine.stats().value("passes"), 1u);
+
+    DramModule twin(hammerConfig());
+    RowHammerEngine twin_engine(twin);
+    filled(twin);
+    const HammerResult single = twin_engine.hammerRow(0, 0);
+    EXPECT_GT(single.total(), 0u);
+    EXPECT_EQ(result.flips10, single.flips10);
+    EXPECT_EQ(result.flips01, single.flips01);
 }
 
 TEST(Hammer, RemappedRowMovesVictims)
