@@ -5,12 +5,14 @@
  *
  * Keys are derived from the canonical JSON dump of a CampaignCell
  * (config + attack + label — the seed rides in the config) chained
- * with the scenario schema version, so a key names exactly one
- * deterministic simulation outcome and cached rows cannot outlive a
- * schema change.  Values are stored as canonical JSON dumps of the
- * CellResult, returned verbatim on hits — including the original
- * wallSeconds — which is what makes a fully cached resubmission's
- * CampaignReport bit-identical to the cold run's.
+ * with sim::kResultCacheEpoch, so a key names exactly one
+ * deterministic simulation outcome.  The epoch, not the schema
+ * version, is chained: an additive schema bump keeps cached rows of
+ * unchanged cells, and only a change of result semantics moves the
+ * epoch and retires them.  Values are stored as canonical JSON
+ * dumps of the CellResult, returned verbatim on hits — including the
+ * original wallSeconds — which is what makes a fully cached
+ * resubmission's CampaignReport bit-identical to the cold run's.
  *
  * Two tiers: a mutex-protected in-memory LRU in front of an optional
  * on-disk store (one file per key under the cache directory, written

@@ -142,6 +142,15 @@ TEST(Cache, KeysSeparateCellsAndTrackSchema)
     other = cell;
     other.label = "b";
     EXPECT_NE(cellCacheKey(other), base);
+
+    // The literal key of a default cell: the canonical dump (every
+    // attack and defense token included) chained with
+    // kResultCacheEpoch.  A changed token or epoch orphans every
+    // on-disk cache, so it must show up here first.
+    EXPECT_EQ(cellCacheKey(CampaignCell{MachineConfig{},
+                                        sim::AttackKind::ProjectZero,
+                                        "key-pin"}),
+              "eb0edec9ec37d0a2");
 }
 
 TEST(Cache, MemoryTierHitsAndMisses)
