@@ -101,12 +101,10 @@ screeningAblation()
             sim::scenarios::screeningKernelConfig(ablation);
         kernel::Kernel kernel(config);
         dram::RowHammerEngine engine(kernel.dram());
-        attack::PageSizeAttackConfig attack_config;
-        attack_config.largeMappings = 128;
-        // Allocator-aware sweep order (see PageSizeAttackConfig).
-        attack_config.sweepFromTop = !ablation.multiLevelZones;
-        const attack::AttackResult result =
-            attack::runPageSizeAttack(kernel, engine, attack_config);
+        // Allocator-aware sweep order (see runPageSizeAttack).
+        const attack::AttackResult result = attack::runPageSizeAttack(
+            kernel, engine,
+            /*sweep_from_top=*/!ablation.multiLevelZones);
         std::cout << std::setw(10) << ablation.pf << std::setw(14)
                   << (ablation.multiLevelZones ? "yes" : "no")
                   << std::setw(12)

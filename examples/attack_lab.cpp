@@ -11,9 +11,9 @@
  *       --report report.json
  *   ./build/examples/attack_lab --list
  *
- * Defense and attack names come straight from the registries, so a
- * newly registered defense (SoftTRR, say) shows up in --list, --matrix
- * and scenario manifests with no changes here.
+ * Defense and attack names come straight from the constant tables
+ * (defense::kDefenses, attack::kAttacks), so a new table row shows up
+ * in --list, --matrix and scenario manifests with no changes here.
  */
 
 #include <algorithm>
@@ -40,10 +40,7 @@ using namespace ctamem;
 using defense::DefenseKind;
 using sim::AttackKind;
 
-/**
- * One layer's registry tokens, sorted for stable output (registries
- * keep registration order, which is link-order dependent).
- */
+/** One layer's tokens, sorted by token. */
 void
 listGroup(const char *heading,
           std::vector<std::pair<std::string, std::string>> rows)
@@ -59,13 +56,13 @@ void
 listOptions()
 {
     std::vector<std::pair<std::string, std::string>> attacks;
-    for (const auto &spec : attack::Registry::instance().all())
-        attacks.emplace_back(spec->name, spec->display);
+    for (const attack::AttackSpec &spec : attack::kAttacks)
+        attacks.emplace_back(spec.name, spec.display);
     listGroup("attacks", std::move(attacks));
 
     std::vector<std::pair<std::string, std::string>> defenses;
-    for (const auto &spec : defense::Registry::instance().all())
-        defenses.emplace_back(spec->name, spec->display);
+    for (const defense::DefenseSpec &spec : defense::kDefenses)
+        defenses.emplace_back(spec.name, spec.display);
     listGroup("defenses", std::move(defenses));
 
     std::vector<std::pair<std::string, std::string>> families;
@@ -149,9 +146,8 @@ writeReport(const sim::CampaignReport &report,
 }
 
 /**
- * --matrix: run every registered attack against every registered
- * defense as one parallel Campaign (same machine config otherwise)
- * and render the table.
+ * --matrix: run every attack against every defense as one parallel
+ * Campaign (same machine config otherwise) and render the table.
  */
 int
 runMatrix(const sim::MachineConfig &base, unsigned jobs,
@@ -159,15 +155,15 @@ runMatrix(const sim::MachineConfig &base, unsigned jobs,
 {
     std::vector<sim::MachineConfig> configs;
     std::vector<DefenseKind> defenses;
-    for (const auto &spec : defense::Registry::instance().all()) {
+    for (const defense::DefenseSpec &spec : defense::kDefenses) {
         sim::MachineConfig config = base;
-        config.defense = spec->kind;
+        config.defense = spec.kind;
         configs.push_back(config);
-        defenses.push_back(spec->kind);
+        defenses.push_back(spec.kind);
     }
     std::vector<AttackKind> attacks;
-    for (const auto &spec : attack::Registry::instance().all())
-        attacks.push_back(spec->kind);
+    for (const attack::AttackSpec &spec : attack::kAttacks)
+        attacks.push_back(spec.kind);
 
     sim::Campaign campaign;
     campaign.addGrid(configs, attacks);
@@ -368,16 +364,15 @@ main(int argc, char **argv)
         if (matrix)
             return runMatrix(config, jobs, report_path);
 
-        const defense::DefenseSpec *defense_spec =
-            defense::Registry::instance().find(defense_name);
-        const attack::AttackSpec *attack_spec =
-            attack::Registry::instance().find(attack_name);
-        if (!defense_spec || !attack_spec) {
+        const auto defense_kind =
+            defense::parseDefenseKind(defense_name);
+        const auto attack_kind = attack::parseAttackKind(attack_name);
+        if (!defense_kind || !attack_kind) {
             listOptions();
             return 2;
         }
-        config.defense = defense_spec->kind;
-        return runSingle(config, attack_spec->kind);
+        config.defense = *defense_kind;
+        return runSingle(config, *attack_kind);
     } catch (const FatalError &err) {
         // A machine that cannot boot (e.g. a ZONE_PTP the module's
         // true cells cannot supply).

@@ -44,7 +44,6 @@ runScenario(bool with_cta)
 
     const int pid = kernel.createProcess("attacker");
     attack::AttackerContext ctx(kernel, engine, pid);
-    const attack::CostModel cost;
 
     // -- Step 1: spray page tables ------------------------------
     // Map one file many times; each mapping makes the kernel
@@ -85,7 +84,7 @@ runScenario(bool with_cta)
     const auto sandwiches = ctx.findSandwiches();
     std::uint64_t flips = 0;
     for (const auto &[bank, victim] : sandwiches)
-        flips += ctx.hammerSandwich(bank, victim, cost).total();
+        flips += ctx.hammerSandwich(bank, victim).total();
     std::cout << "step 2: double-side hammered " << sandwiches.size()
               << " victim rows, " << flips << " bit flips landed\n";
 

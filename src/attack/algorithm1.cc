@@ -14,7 +14,6 @@ using kernel::Kernel;
 
 AttackResult
 runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
-              const Algorithm1Config &config,
               Algorithm1Evidence *evidence)
 {
     const cta::PtpLayout *ptp = kernel.ptpLayout();
@@ -27,9 +26,8 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
     AttackerContext ctx(kernel, engine, pid);
 
     // Step (1): fill ZONE_PTP with PTEs pointing at one shared page.
-    const int fd = kernel.createFile(64 * KiB);
-    const std::vector<VAddr> mappings = ctx.sprayFileMappings(
-        fd, config.maxMappings, 64 * KiB, config.cost);
+    const std::vector<VAddr> mappings = ctx.spray(8192, 64 * KiB, 0);
+    ctx.charge(kSprayFillCost);
     if (mappings.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "spray failed";
@@ -38,18 +36,8 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
 
     // Snapshot every present leaf PTE in ZONE_PTP.
     const paging::Arch &arch = kernel.arch();
-    std::map<Addr, std::uint64_t> before;
-    for (const auto &[pfn, level] : kernel.pageTableFrames()) {
-        if (level != 1)
-            continue;
-        for (std::uint64_t slot = 0; slot < arch.entriesPerTable();
-             ++slot) {
-            const Addr addr = pfnToAddr(pfn) + slot * 8;
-            const std::uint64_t raw = kernel.dram().readU64(addr);
-            if (arch.present(raw))
-                before.emplace(addr, raw);
-        }
-    }
+    const std::map<Addr, std::uint64_t> before =
+        snapshotTables(kernel, true);
 
     // Step (2): hammer every row of ZONE_PTP (repeatedly translating
     // through PTEs in a row, TLB flushed, activates that row).
@@ -61,7 +49,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
         for (Addr row = base; row < end; row += row_bytes) {
             const dram::Location loc = kernel.dram().locate(row);
             engine.hammerRow(loc.bank, loc.row);
-            ctx.charge(config.cost.hammerPerRow);
+            ctx.charge(kHammerRowCost);
             ++result.hammerPasses;
         }
     }
@@ -115,7 +103,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
     }
     result.ptesCorrupted = local.ptesCorrupted;
     result.selfReferences = local.selfReferences;
-    ctx.charge(config.cost.checkPerPte * before.size());
+    ctx.charge(kCheckPteCost * before.size());
 
     if (local.selfReferences > 0) {
         auto self_ref =

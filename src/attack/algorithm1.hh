@@ -21,13 +21,6 @@
 
 namespace ctamem::attack {
 
-/** Tunables of the Algorithm 1 run. */
-struct Algorithm1Config
-{
-    unsigned maxMappings = 8192; //!< spray cap (ZONE_PTP usually fills)
-    CostModel cost;
-};
-
 /** Extra evidence collected by the run. */
 struct Algorithm1Evidence
 {
@@ -39,12 +32,12 @@ struct Algorithm1Evidence
 };
 
 /**
- * Run Algorithm 1 against a CTA-booted kernel.
+ * Run Algorithm 1 against a CTA-booted kernel, spraying up to 8192
+ * mappings (ZONE_PTP usually fills first).
  * @throws FatalError when @p kernel has no ZONE_PTP.
  */
 AttackResult runAlgorithm1(kernel::Kernel &kernel,
                            dram::RowHammerEngine &engine,
-                           const Algorithm1Config &config = {},
                            Algorithm1Evidence *evidence = nullptr);
 
 } // namespace ctamem::attack

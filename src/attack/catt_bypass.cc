@@ -14,24 +14,7 @@ using kernel::Kernel;
 namespace {
 
 constexpr paging::PageFlags rwFlags{true, false, false};
-
-/** Snapshot all present PTE words held in page-table frames. */
-std::map<Addr, std::uint64_t>
-snapshotTables(Kernel &kernel)
-{
-    const paging::Arch &arch = kernel.arch();
-    std::map<Addr, std::uint64_t> snapshot;
-    for (const auto &[pfn, level] : kernel.pageTableFrames()) {
-        for (std::uint64_t slot = 0; slot < arch.entriesPerTable();
-             ++slot) {
-            const Addr addr = pfnToAddr(pfn) + slot * 8;
-            const std::uint64_t raw = kernel.dram().readU64(addr);
-            if (arch.present(raw))
-                snapshot.emplace(addr, raw);
-        }
-    }
-    return snapshot;
-}
+constexpr std::uint64_t bytesPerMapping = 64 * KiB;
 
 /** Count table words whose content changed since @p snapshot. */
 std::uint64_t
@@ -49,24 +32,18 @@ countTableCorruption(Kernel &kernel,
 } // namespace
 
 AttackResult
-runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine,
-               unsigned remap_rows, const CattBypassConfig &config)
+runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine)
 {
+    constexpr unsigned remapRows = 4;
+
     AttackResult result;
     const int pid = kernel.createProcess("remap-attacker");
     AttackerContext ctx(kernel, engine, pid);
 
     // The victim system has page tables: spray some so the kernel
     // partition holds a realistic population.
-    const int fd = kernel.createFile(config.bytesPerMapping);
-    std::vector<VAddr> mappings;
-    for (unsigned i = 0; i < config.mappings; ++i) {
-        const VAddr base = kernel.mmapFile(
-            pid, fd, config.bytesPerMapping, rwFlags);
-        if (base == 0 || !kernel.touchUser(pid, base))
-            break;
-        mappings.push_back(base);
-    }
+    const std::vector<VAddr> mappings =
+        ctx.spray(256, bytesPerMapping, 0);
 
     // Attacker-owned aggressor arena (user partition).
     const VAddr arena = kernel.mmapAnon(pid, 4 * MiB, rwFlags);
@@ -89,7 +66,7 @@ runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine,
     std::vector<std::pair<std::uint64_t, std::uint64_t>> victims;
     unsigned remapped = 0;
     for (const auto &[bank, pt_device] : pt_rows) {
-        if (remapped >= remap_rows)
+        if (remapped >= remapRows)
             break;
         if (pt_device == 0 ||
             pt_device + 1 >= module.geometry().rowsPerBank()) {
@@ -138,28 +115,18 @@ runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine,
         return result;
     }
 
-    const auto snapshot = snapshotTables(kernel);
+    const auto snapshot = snapshotTables(kernel, false);
 
     // Hammer the page-table rows now flanked by re-mapped rows.
-    for (const auto &[bank, victim] : victims) {
-        const dram::HammerResult hammer =
-            ctx.hammerSandwich(bank, victim, config.cost);
-        ++result.hammerPasses;
-        result.flipsInduced += hammer.total();
-    }
+    ctx.hammerPass(victims, result);
 
     result.ptesCorrupted = countTableCorruption(kernel, snapshot);
-    auto self_ref =
-        detectSelfReference(kernel, pid, mappings,
-                            config.bytesPerMapping);
-    if (self_ref) {
-        ++result.selfReferences;
-        result.outcome = Outcome::SelfReference;
-        if (escalate(kernel, pid, *self_ref)) {
-            result.outcome = Outcome::Escalated;
-            result.detail = "kernel secret read from user mode";
-        }
-    } else if (result.ptesCorrupted > 0) {
+    if (exploit(kernel, pid, mappings, bytesPerMapping, result, "",
+                "kernel secret read from user mode")) {
+        result.attackTime = ctx.elapsed();
+        return result;
+    }
+    if (result.ptesCorrupted > 0) {
         // The isolation CATT promises is broken: user-driven hammering
         // corrupted kernel page tables through the re-mapping.
         result.outcome = Outcome::KernelCorrupted;
@@ -175,7 +142,7 @@ runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine,
 
 AttackResult
 runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
-                     const CattBypassConfig &config)
+                     unsigned mappings)
 {
     AttackResult result;
     const int pid = kernel.createProcess("vbuf-attacker");
@@ -185,39 +152,35 @@ runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
     // buffers: in the kernel partition, table frames and double-owned
     // frames alternate, so a single downward flip in a double-owned
     // PTE's low pointer bit lands on a table frame.
-    const int fd = kernel.createFile(config.bytesPerMapping);
-    std::vector<VAddr> mappings;      //!< sprayed table mappings
+    const int fd = kernel.createFile(bytesPerMapping);
+    std::vector<VAddr> tables;        //!< sprayed table mappings
     std::vector<VAddr> vbuf_windows;  //!< user windows onto vbuf pages
-    for (unsigned i = 0; i < config.mappings; ++i) {
-        const VAddr base = kernel.mmapFile(
-            pid, fd, config.bytesPerMapping, rwFlags);
-        if (base == 0 || !kernel.touchUser(pid, base))
+    for (unsigned i = 0; i < mappings; ++i) {
+        const VAddr base =
+            kernel.mmapFile(pid, fd, bytesPerMapping, rwFlags);
+        if (!kernel.touchUser(pid, base))
             break;
-        mappings.push_back(base);
+        tables.push_back(base);
 
         const int vbuf = kernel.createDeviceBuffer(kernel.pageBytes());
         const VAddr window =
             kernel.mmapFile(pid, vbuf, kernel.pageBytes(), rwFlags);
-        if (window == 0 || !kernel.touchUser(pid, window))
+        if (!kernel.touchUser(pid, window))
             break;
         vbuf_windows.push_back(window);
     }
-    ctx.charge(config.cost.sprayFill);
+    ctx.charge(kSprayFillCost);
 
-    const auto snapshot = snapshotTables(kernel);
+    const auto snapshot = snapshotTables(kernel, false);
 
     // The attacker's double-owned rows flank the table rows: hammer
     // every sandwich it owns (these include rows inside the kernel
     // partition — exactly what CATT assumed impossible).
-    unsigned rows_hammered = 0;
     for (const auto &[bank, victim] : ctx.findSandwiches()) {
-        if (rows_hammered >= config.maxRows)
-            break;
         const dram::HammerResult hammer =
-            ctx.hammerSandwich(bank, victim, config.cost);
+            ctx.hammerSandwich(bank, victim);
         ++result.hammerPasses;
         result.flipsInduced += hammer.total();
-        ++rows_hammered;
     }
 
     result.ptesCorrupted = countTableCorruption(kernel, snapshot);
@@ -225,18 +188,13 @@ runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
     // The PTEs that matter are the double-owned windows': their frame
     // pointers live amid the page tables.
     std::vector<VAddr> scan = vbuf_windows;
-    scan.insert(scan.end(), mappings.begin(), mappings.end());
-    auto self_ref =
-        detectSelfReference(kernel, pid, scan, kernel.pageBytes());
-    if (self_ref) {
-        ++result.selfReferences;
-        result.outcome = Outcome::SelfReference;
-        if (escalate(kernel, pid, *self_ref)) {
-            result.outcome = Outcome::Escalated;
-            result.detail = "kernel secret read via double-owned "
-                            "window";
-        }
-    } else if (result.ptesCorrupted > 0) {
+    scan.insert(scan.end(), tables.begin(), tables.end());
+    if (exploit(kernel, pid, scan, kernel.pageBytes(), result, "",
+                "kernel secret read via double-owned window")) {
+        result.attackTime = ctx.elapsed();
+        return result;
+    }
+    if (result.ptesCorrupted > 0) {
         result.outcome = Outcome::KernelCorrupted;
         result.detail = "page tables corrupted from double-owned rows";
     } else {

@@ -23,29 +23,22 @@
 
 namespace ctamem::attack {
 
-/** Tunables shared by both bypasses. */
-struct CattBypassConfig
-{
-    unsigned mappings = 256;  //!< PTE spray width
-    std::uint64_t bytesPerMapping = 64 * KiB;
-    unsigned maxRows = 64;    //!< aggressor rows to try
-    CostModel cost;
-};
-
 /**
- * Re-mapping bypass.  @p remap_rows device rows adjacent to the
- * kernel's page-table rows are (pre-attack, by the "manufacturer")
- * swapped with rows the attacker can own.
+ * Re-mapping bypass.  After a 256-mapping page-table spray, up to
+ * four device rows adjacent to the kernel's page-table rows are
+ * (pre-attack, by the "manufacturer") swapped with rows the attacker
+ * owns.
  */
 AttackResult runRemapBypass(kernel::Kernel &kernel,
-                            dram::RowHammerEngine &engine,
-                            unsigned remap_rows = 4,
-                            const CattBypassConfig &config = {});
+                            dram::RowHammerEngine &engine);
 
-/** Double-owned (device-buffer) bypass. */
+/**
+ * Double-owned (device-buffer) bypass: @p mappings page-table sprays
+ * interleaved 1:1 with single-page device buffers.
+ */
 AttackResult runDoubleOwnedBypass(kernel::Kernel &kernel,
                                   dram::RowHammerEngine &engine,
-                                  const CattBypassConfig &config = {});
+                                  unsigned mappings = 256);
 
 } // namespace ctamem::attack
 

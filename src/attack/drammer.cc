@@ -24,7 +24,7 @@ constexpr Addr noFrame = ~0ULL;
 
 TemplateReport
 templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
-               const DrammerConfig &config, int *out_pid)
+               std::uint64_t arena_pages, int *out_pid)
 {
     const int pid = kernel.createProcess("drammer");
     if (out_pid)
@@ -36,7 +36,7 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
     // run the machine out of memory mid-arena; whatever was mapped by
     // then is arena enough.
     const std::uint64_t page_bytes = kernel.pageBytes();
-    for (std::uint64_t i = 0; i < config.arenaPages; ++i) {
+    for (std::uint64_t i = 0; i < arena_pages; ++i) {
         const VAddr va = arenaBase + i * page_bytes;
         if (kernel.mmapAnon(pid, page_bytes, rwFlags, va) == 0)
             break;
@@ -53,8 +53,8 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
         // (those bits are per page, so one walk sets what 512 walks
         // would); the remaining slots are patterned through the
         // module directly.
-        std::vector<Addr> filled(config.arenaPages, noFrame);
-        for (std::uint64_t i = 0; i < config.arenaPages; ++i) {
+        std::vector<Addr> filled(arena_pages, noFrame);
+        for (std::uint64_t i = 0; i < arena_pages; ++i) {
             const kernel::UserAccess access = kernel.writeUser(
                 pid, arenaBase + i * page_bytes, pattern);
             if (!access)
@@ -71,7 +71,7 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
         phase_events.clear();
         engine.setEventSink(&phase_events);
         for (const auto &[bank, victim] : ctx.findSandwiches()) {
-            ctx.hammerSandwich(bank, victim, config.cost);
+            ctx.hammerSandwich(bank, victim);
             ++report.hammeredRows;
         }
         engine.setEventSink(outer_sink);
@@ -100,7 +100,7 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
         for (auto &[frame, flips] : flips_in)
             std::sort(flips.begin(), flips.end());
 
-        for (std::uint64_t i = 0; i < config.arenaPages; ++i) {
+        for (std::uint64_t i = 0; i < arena_pages; ++i) {
             const VAddr page = arenaBase + i * page_bytes;
             const kernel::UserAccess head = kernel.readUser(pid, page);
             if (!head)
@@ -142,11 +142,13 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
 
 AttackResult
 runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
-           const DrammerConfig &config)
+           std::uint64_t arena_pages)
 {
+    constexpr unsigned maxTemplates = 32;
+
     AttackResult result;
     int pid = -1;
-    TemplateReport report = templateMemory(kernel, engine, config,
+    TemplateReport report = templateMemory(kernel, engine, arena_pages,
                                            &pid);
     AttackerContext ctx(kernel, engine, pid);
     result.flipsInduced = report.templates.size();
@@ -156,7 +158,7 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
     const paging::Arch &arch = kernel.arch();
     const std::uint64_t page_bytes = kernel.pageBytes();
     std::map<Pfn, VAddr> frame_of;
-    for (std::uint64_t i = 0; i < config.arenaPages; ++i) {
+    for (std::uint64_t i = 0; i < arena_pages; ++i) {
         const VAddr va = arenaBase + i * page_bytes;
         const kernel::UserAccess access = kernel.readUser(pid, va);
         if (access)
@@ -165,7 +167,7 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
 
     unsigned tried = 0;
     for (const FlipTemplate &tmpl : report.templates) {
-        if (tried >= config.maxTemplates)
+        if (tried >= maxTemplates)
             break;
         // Only flips inside the PTE frame-pointer field with a small
         // frame delta are usable for the self-map construction.
@@ -223,22 +225,13 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
         const dram::Location loc =
             kernel.dram().locate(pfnToAddr(table_frame));
         const dram::HammerResult hammer =
-            ctx.hammerSandwich(loc.bank, loc.row, config.cost);
+            ctx.hammerSandwich(loc.bank, loc.row);
         ++result.hammerPasses;
         result.flipsInduced += hammer.total();
 
-        const std::vector<VAddr> window{target};
-        auto self_ref =
-            detectSelfReference(kernel, pid, window, span);
-        if (self_ref) {
-            ++result.selfReferences;
-            result.outcome = Outcome::SelfReference;
-            result.detail = "deterministic self-reference";
-            if (escalate(kernel, pid, *self_ref)) {
-                result.outcome = Outcome::Escalated;
-                result.detail = "deterministic escalation via "
-                                "templated flip";
-            }
+        if (exploit(kernel, pid, {target}, span, result,
+                    "deterministic self-reference",
+                    "deterministic escalation via templated flip")) {
             result.attackTime = ctx.elapsed();
             return result;
         }

@@ -47,14 +47,6 @@ struct FlipTemplate
     bool downward;        //!< true: '1'->'0'; false: '0'->'1'
 };
 
-/** Tunables of the deterministic attack. */
-struct DrammerConfig
-{
-    std::uint64_t arenaPages = 2048; //!< templating arena size
-    unsigned maxTemplates = 32;      //!< exploitable templates to try
-    CostModel cost;
-};
-
 /** Phase-1 result, exposed for tests and benches. */
 struct TemplateReport
 {
@@ -63,18 +55,22 @@ struct TemplateReport
 };
 
 /**
- * Run only the templating phase from a fresh process.
- * The arena stays mapped in @p out_pid's address space.
+ * Run only the templating phase from a fresh process over an arena
+ * of @p arena_pages pages.  The arena stays mapped in @p out_pid's
+ * address space.
  */
 TemplateReport templateMemory(kernel::Kernel &kernel,
                               dram::RowHammerEngine &engine,
-                              const DrammerConfig &config,
+                              std::uint64_t arena_pages,
                               int *out_pid = nullptr);
 
-/** Run the full deterministic attack. */
+/**
+ * Run the full deterministic attack: template an arena of
+ * @p arena_pages pages, then try up to 32 usable templates.
+ */
 AttackResult runDrammer(kernel::Kernel &kernel,
                         dram::RowHammerEngine &engine,
-                        const DrammerConfig &config = {});
+                        std::uint64_t arena_pages);
 
 } // namespace ctamem::attack
 

@@ -12,8 +12,10 @@ using kernel::Kernel;
 
 AttackResult
 runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
-                  const PageSizeAttackConfig &config)
+                  bool sweep_from_top)
 {
+    constexpr unsigned largeMappings = 128;
+
     const cta::PtpLayout *ptp = kernel.ptpLayout();
     if (!ptp)
         fatal("the page-size attack targets CTA systems; boot with "
@@ -25,12 +27,7 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
     const paging::PageFlags rw{true, false, false};
 
     // Populate ZONE_PTP with leaf tables worth hijacking.
-    const int fd = kernel.createFile(64 * KiB);
-    for (unsigned i = 0; i < config.sprayMappings; ++i) {
-        const VAddr base = kernel.mmapFile(pid, fd, 64 * KiB, rw);
-        if (base == 0 || !kernel.touchUser(pid, base))
-            break;
-    }
+    ctx.spray(64, 64 * KiB, 0);
 
     // Large pages whose first table-granule holds crafted PTEs
     // sweeping the top-of-memory region where ZONE_PTP
@@ -47,7 +44,7 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
     // PD row does not saw off the branch the attacker sits on.
     constexpr VAddr largeRegion = 0x0000'0020'0000'0000ULL;
     std::vector<VAddr> large_bases;
-    for (unsigned m = 0; m < config.largeMappings; ++m) {
+    for (unsigned m = 0; m < largeMappings; ++m) {
         const VAddr base = kernel.mmapAnonLarge(
             pid, rw, 2, largeRegion + m * block_bytes);
         if (base == 0)
@@ -67,7 +64,7 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
             kernel.writeUser(pid, base + slot * 8, crafted);
         }
     }
-    ctx.charge(config.cost.sprayFill);
+    ctx.charge(kSprayFillCost);
     if (large_bases.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "no large pages available";
@@ -90,36 +87,27 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
             rows.push_back(row);
         }
     }
-    if (config.sweepFromTop)
+    if (sweep_from_top)
         std::reverse(rows.begin(), rows.end());
-    std::optional<SelfReference> self_ref;
-    for (auto it = rows.begin(); it != rows.end() && !self_ref;
-         ++it) {
+    bool found = false;
+    for (auto it = rows.begin(); it != rows.end() && !found; ++it) {
         const dram::Location loc = kernel.dram().locate(*it);
         const dram::HammerResult hammer =
-            engine.hammerDoubleSided(loc.bank, loc.row);
+            ctx.hammerSandwich(loc.bank, loc.row);
         result.flipsInduced += hammer.total();
         ++result.hammerPasses;
-        ctx.charge(config.cost.hammerPerRow);
 
         // A flipped PS bit exposes the crafted window: the large
         // region now reads page-table (or other ZONE_PTP) content.
         ctx.flushTlb();
-        self_ref = detectSelfReference(kernel, pid, large_bases,
-                                       block_bytes);
-        ctx.charge(config.cost.checkPerPte * large_bases.size() *
+        found = exploit(kernel, pid, large_bases, block_bytes, result,
+                        "PS-bit flip exposed ZONE_PTP through a "
+                        "crafted large page",
+                        "kernel secret read via hijacked PS bit");
+        ctx.charge(kCheckPteCost * large_bases.size() *
                    arch.entriesPerTable());
     }
-    if (self_ref) {
-        ++result.selfReferences;
-        result.outcome = Outcome::SelfReference;
-        result.detail = "PS-bit flip exposed ZONE_PTP through a "
-                        "crafted large page";
-        if (escalate(kernel, pid, *self_ref)) {
-            result.outcome = Outcome::Escalated;
-            result.detail = "kernel secret read via hijacked PS bit";
-        }
-    } else {
+    if (!found) {
         result.outcome = Outcome::Blocked;
         result.detail =
             ptp->screenedFrames > 0 ?

@@ -23,30 +23,22 @@
 
 namespace ctamem::attack {
 
-/** Tunables of the page-size attack. */
-struct PageSizeAttackConfig
-{
-    unsigned sprayMappings = 64; //!< leaf-PT spray (targets in PTP)
-    unsigned largeMappings = 64; //!< 2 MiB pages with crafted payloads
-    /**
-     * Row-sweep direction.  The attacker knows the kernel's
-     * allocation order (an open-source OS, as the paper's threat
-     * model grants Drammer), so it sweeps the zone in the order that
-     * postpones the rows holding its own root tables: top-down for
-     * single-level CTA (roots allocate bottom-up), bottom-up for
-     * multi-level zones (roots live in the topmost partitions).
-     */
-    bool sweepFromTop = true;
-    CostModel cost;
-};
-
 /**
- * Run the PS-bit attack against a CTA kernel.
+ * Run the PS-bit attack against a CTA kernel: a 64-mapping leaf-table
+ * spray, 128 crafted large pages, then a row-by-row ZONE_PTP sweep.
+ *
+ * @p sweep_from_top picks the sweep direction.  The attacker knows
+ * the kernel's allocation order (an open-source OS, as the paper's
+ * threat model grants Drammer), so it sweeps the zone in the order
+ * that postpones the rows holding its own root tables: top-down for
+ * single-level CTA (roots allocate bottom-up), bottom-up for
+ * multi-level zones (roots live in the topmost partitions).
+ *
  * @throws FatalError when @p kernel has no ZONE_PTP.
  */
 AttackResult runPageSizeAttack(kernel::Kernel &kernel,
                                dram::RowHammerEngine &engine,
-                               const PageSizeAttackConfig &config = {});
+                               bool sweep_from_top = true);
 
 } // namespace ctamem::attack
 

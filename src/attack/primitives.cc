@@ -11,24 +11,29 @@ namespace ctamem::attack {
 using kernel::Process;
 
 std::vector<VAddr>
-AttackerContext::sprayFileMappings(int fd, unsigned mappings,
-                                   std::uint64_t bytes_each,
-                                   const CostModel &cost)
+AttackerContext::spray(unsigned mappings, std::uint64_t bytes_each,
+                       unsigned anon_pages)
 {
+    const int fd = kernel_.createFile(bytes_each);
+    const paging::PageFlags rw{true, false, false};
+    const std::uint64_t page_bytes = kernel_.pageBytes();
     std::vector<VAddr> bases;
     bases.reserve(mappings);
-    const paging::PageFlags rw{true, false, false};
     for (unsigned i = 0; i < mappings; ++i) {
-        const VAddr base =
-            kernel_.mmapFile(pid_, fd, bytes_each, rw);
-        if (base == 0)
-            fatal("spray: mmap failed after ", i, " mappings");
+        const VAddr base = kernel_.mmapFile(pid_, fd, bytes_each, rw);
         // Touching one page per mapping materializes the leaf table.
         if (!kernel_.touchUser(pid_, base))
             break; // ZONE_PTP exhausted under CTA: spray saturated
         bases.push_back(base);
+        if (anon_pages == 0)
+            continue;
+        // Attacker-owned pages between table allocations make the
+        // buddy allocator pack aggressor frames next to table frames.
+        const VAddr anon =
+            kernel_.mmapAnon(pid_, anon_pages * page_bytes, rw);
+        for (unsigned page = 0; page < anon_pages; ++page)
+            kernel_.touchUser(pid_, anon + page * page_bytes);
     }
-    charge(cost.sprayFill);
     return bases;
 }
 
@@ -71,38 +76,58 @@ AttackerContext::ownedRows()
 }
 
 dram::HammerResult
-AttackerContext::hammerOwnRow(VAddr vaddr, const CostModel &cost)
+AttackerContext::hammerOwnRow(VAddr vaddr)
 {
     const kernel::UserAccess access = kernel_.readUser(pid_, vaddr);
     if (!access)
         fatal("hammerOwnRow: attacker cannot access its own page");
     const dram::Location loc = kernel_.dram().locate(access.phys);
-    charge(cost.hammerPerRow);
+    charge(kHammerRowCost);
     return engine_.hammerRow(loc.bank, loc.row);
 }
 
 dram::HammerResult
 AttackerContext::hammerSandwich(std::uint64_t bank,
-                                std::uint64_t victim_row,
-                                const CostModel &cost)
+                                std::uint64_t victim_row)
 {
-    charge(cost.hammerPerRow);
+    charge(kHammerRowCost);
     return engine_.hammerDoubleSided(bank, victim_row);
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
+AttackerContext::Sandwiches
 AttackerContext::findSandwiches()
 {
     std::set<std::pair<std::uint64_t, std::uint64_t>> owned;
     for (const OwnedRow &row : ownedRows())
         owned.insert({row.bank, row.row});
 
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> sandwiches;
+    Sandwiches sandwiches;
     for (const auto &[bank, row] : owned) {
         if (owned.contains({bank, row + 2}))
             sandwiches.emplace_back(bank, row + 1);
     }
     return sandwiches;
+}
+
+bool
+AttackerContext::hammerPass(const Sandwiches &sandwiches,
+                            AttackResult &result)
+{
+    bool suppressed = true;
+    auto record = [&](const dram::HammerResult &hammer) {
+        ++result.hammerPasses;
+        result.flipsInduced += hammer.total();
+        suppressed &= hammer.suppressed;
+    };
+    if (sandwiches.empty()) {
+        // No double-sided targets: single-sided on every row.
+        for (const OwnedRow &row : ownedRows())
+            record(hammerOwnRow(row.vaddrs.front()));
+    } else {
+        for (const auto &[bank, victim] : sandwiches)
+            record(hammerSandwich(bank, victim));
+    }
+    return suppressed;
 }
 
 } // namespace ctamem::attack

@@ -14,22 +14,23 @@
 #define CTAMEM_ATTACK_PRIMITIVES_HH
 
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
+#include "attack/result.hh"
 #include "common/types.hh"
 #include "dram/hammer.hh"
 #include "kernel/kernel.hh"
 
 namespace ctamem::attack {
 
-/** Cost model for attack-time accounting (Section 5 measurements). */
-struct CostModel
-{
-    SimTime sprayFill = 184 * milliseconds;  //!< step (1) per page
-    SimTime hammerPerRow = 64 * milliseconds;//!< step (2), one refresh
-    SimTime checkPerPte = 600;               //!< step (3), memcmp (ns)
-};
+/** @name Attack-time cost model (Section 5 measurements) */
+/** @{ */
+constexpr SimTime kSprayFillCost = 184 * milliseconds; //!< step (1)
+constexpr SimTime kHammerRowCost = 64 * milliseconds;  //!< step (2),
+                                                       //!< one refresh
+constexpr SimTime kCheckPteCost = 600; //!< step (3), one memcmp (ns)
+/** @} */
 
 /** A DRAM row the attacker can aggress, with its owned pages. */
 struct OwnedRow
@@ -48,22 +49,22 @@ class AttackerContext
         : kernel_(kernel), engine_(engine), pid_(pid)
     {}
 
-    kernel::Kernel &kernel() { return kernel_; }
-    dram::RowHammerEngine &engine() { return engine_; }
-    int pid() const { return pid_; }
-
     SimTime elapsed() const { return elapsed_; }
     void charge(SimTime dt) { elapsed_ += dt; }
 
     /**
-     * Map a shared file repeatedly: @p mappings mappings of
-     * @p bytes_each bytes, touching the first page of each so the
-     * kernel sprays page-table pages (the ProjectZero step 1).
+     * Spray page tables (step 1): create one file of @p bytes_each
+     * bytes and map it @p mappings times, touching the first page of
+     * each mapping so the kernel allocates its leaf table.  After
+     * each mapping, @p anon_pages touched anonymous pages interleave
+     * aggressor frames with the table frames.  Stops early once a
+     * touch fails (ZONE_PTP exhausted under CTA).  Charges nothing:
+     * callers charge kSprayFillCost where their step (1) ends.
      * @return the mapping base addresses.
      */
-    std::vector<VAddr> sprayFileMappings(int fd, unsigned mappings,
-                                         std::uint64_t bytes_each,
-                                         const CostModel &cost);
+    std::vector<VAddr> spray(unsigned mappings,
+                             std::uint64_t bytes_each,
+                             unsigned anon_pages);
 
     /**
      * DRAM rows in which this process currently owns at least one
@@ -75,7 +76,7 @@ class AttackerContext
      * Hammer the row containing the attacker page @p vaddr for one
      * refresh window (single-sided: tight read loop on one row).
      */
-    dram::HammerResult hammerOwnRow(VAddr vaddr, const CostModel &cost);
+    dram::HammerResult hammerOwnRow(VAddr vaddr);
 
     /**
      * Double-sided hammer: requires attacker pages in rows v-1 and
@@ -83,15 +84,26 @@ class AttackerContext
      * sandwich via findSandwiches().
      */
     dram::HammerResult hammerSandwich(std::uint64_t bank,
-                                      std::uint64_t victim_row,
-                                      const CostModel &cost);
+                                      std::uint64_t victim_row);
+
+    /** (bank, victim row) pairs. */
+    using Sandwiches =
+        std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
     /**
      * Victim rows sandwiched between two attacker-owned rows: the
      * double-sided targets.
      */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    findSandwiches();
+    Sandwiches findSandwiches();
+
+    /**
+     * One hammer round (step 2): double-sided on every victim of
+     * @p sandwiches, or single-sided on every owned row when there
+     * is none.  Adds the passes and flips to @p result.
+     * @return whether a mitigation suppressed every pass.
+     */
+    bool hammerPass(const Sandwiches &sandwiches,
+                    AttackResult &result);
 
     /** Flush the TLB so corrupted PTEs become visible (clflush). */
     void

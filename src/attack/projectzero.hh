@@ -21,23 +21,14 @@
 
 namespace ctamem::attack {
 
-/** Tunables of the spray attack. */
-struct ProjectZeroConfig
-{
-    unsigned mappings = 512;          //!< spray width
-    std::uint64_t bytesPerMapping = 64 * KiB;
-    unsigned anonPagesPerMapping = 2; //!< interleaved aggressor pages
-    unsigned maxPasses = 8;           //!< hammer/check iterations
-    CostModel cost;
-};
-
 /**
- * Run the attack against @p kernel from a fresh unprivileged process.
- * Deterministic given the kernel's DRAM seed.
+ * Run the attack against @p kernel from a fresh unprivileged process:
+ * 512 mappings of 64 KiB with two aggressor pages each, then up to
+ * eight hammer/check rounds.  Deterministic given the kernel's DRAM
+ * seed.
  */
 AttackResult runProjectZero(kernel::Kernel &kernel,
-                            dram::RowHammerEngine &engine,
-                            const ProjectZeroConfig &config = {});
+                            dram::RowHammerEngine &engine);
 
 } // namespace ctamem::attack
 

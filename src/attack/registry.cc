@@ -5,141 +5,105 @@
 #include "attack/drammer.hh"
 #include "attack/projectzero.hh"
 #include "attack/sync_hammer.hh"
-#include "common/log.hh"
 
 namespace ctamem::attack {
 
-namespace {
+constexpr std::array<AttackSpec, kAttackKinds> kAttacks{{
+    {AttackKind::ProjectZero, "projectzero", "PTE spray (ProjectZero)",
+     [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
+        const AttackParams &) { return runProjectZero(kernel, engine); }},
+    {AttackKind::Drammer, "drammer", "Drammer templating",
+     [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
+        const AttackParams &) {
+         return runDrammer(kernel, engine, 1024);
+     }},
+    {AttackKind::Algorithm1, "algorithm1", "Algorithm 1 (anti-CTA)",
+     [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
+        const AttackParams &) {
+         // Algorithm 1 is defined against CTA machines only; on
+         // others report the strictly stronger ProjectZero result.
+         return kernel.ptpLayout() ? runAlgorithm1(kernel, engine) :
+                                     runProjectZero(kernel, engine);
+     }},
+    {AttackKind::RemapBypass, "remap", "row-remap bypass",
+     [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
+        const AttackParams &) { return runRemapBypass(kernel, engine); }},
+    {AttackKind::DoubleOwnedBypass, "doubleowned", "double-owned bypass",
+     [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
+        const AttackParams &) {
+         return runDoubleOwnedBypass(kernel, engine);
+     }},
+    {AttackKind::UniformHammer, "uniform", "uniform hammer",
+     runUniformHammer},
+    {AttackKind::SyncHammer, "sync_hammer", "REF-sync hammer",
+     runSyncHammer},
+    {AttackKind::FuzzHammer, "fuzz_hammer",
+     "fuzzed hammer (Blacksmith-style)", runFuzzHammer},
+}};
 
-void
-registerBuiltinAttacks(Registry &registry)
-{
-    registry.add(AttackSpec{
-        AttackKind::ProjectZero, "projectzero",
-        "PTE spray (ProjectZero)",
-        [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-           const AttackParams &) {
-            return runProjectZero(kernel, engine);
-        }});
-    registry.add(AttackSpec{
-        AttackKind::Drammer, "drammer", "Drammer templating",
-        [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-           const AttackParams &) {
-            DrammerConfig config;
-            config.arenaPages = 1024;
-            return runDrammer(kernel, engine, config);
-        }});
-    registry.add(AttackSpec{
-        AttackKind::Algorithm1, "algorithm1", "Algorithm 1 (anti-CTA)",
-        [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-           const AttackParams &) {
-            if (!kernel.ptpLayout()) {
-                // Algorithm 1 is defined against CTA machines only;
-                // on others report the strictly stronger ProjectZero
-                // result.
-                return runProjectZero(kernel, engine);
-            }
-            return runAlgorithm1(kernel, engine);
-        }});
-    registry.add(AttackSpec{
-        AttackKind::RemapBypass, "remap", "row-remap bypass",
-        [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-           const AttackParams &) {
-            return runRemapBypass(kernel, engine);
-        }});
-    registry.add(AttackSpec{
-        AttackKind::DoubleOwnedBypass, "doubleowned",
-        "double-owned bypass",
-        [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-           const AttackParams &) {
-            return runDoubleOwnedBypass(kernel, engine);
-        }});
-    registry.add(AttackSpec{
-        AttackKind::UniformHammer, "uniform", "uniform hammer",
-        [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-           const AttackParams &params) {
-            return runUniformHammer(kernel, engine, params);
-        }});
-    registry.add(AttackSpec{
-        AttackKind::SyncHammer, "sync_hammer", "REF-sync hammer",
-        [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-           const AttackParams &params) {
-            return runSyncHammer(kernel, engine, params);
-        }});
-    registry.add(AttackSpec{
-        AttackKind::FuzzHammer, "fuzz_hammer",
-        "fuzzed hammer (Blacksmith-style)",
-        [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-           const AttackParams &params) {
-            return runFuzzHammer(kernel, engine, params);
-        }});
-}
-
-} // namespace
-
-Registry &
-Registry::instance()
-{
-    static Registry *registry = [] {
-        auto *r = new Registry;
-        registerBuiltinAttacks(*r);
-        return r;
-    }();
-    return *registry;
-}
-
-void
-Registry::add(AttackSpec spec)
-{
-    for (const auto &existing : specs_) {
-        if (existing->kind == spec.kind ||
-            existing->name == spec.name) {
-            fatal("attack registry: duplicate registration of \"",
-                  spec.name, "\"");
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kAttacks.size(); ++i) {
+            if (static_cast<std::size_t>(kAttacks[i].kind) != i)
+                return false;
         }
-    }
-    specs_.push_back(std::make_unique<AttackSpec>(std::move(spec)));
-}
+        return true;
+    }(),
+    "kAttacks needs one row per AttackKind, in enum order");
 
-const AttackSpec *
-Registry::find(AttackKind kind) const
+const AttackSpec &
+attackSpec(AttackKind kind)
 {
-    for (const auto &spec : specs_)
-        if (spec->kind == kind)
-            return spec.get();
-    return nullptr;
-}
-
-const AttackSpec *
-Registry::find(std::string_view name) const
-{
-    for (const auto &spec : specs_)
-        if (spec->name == name || spec->display == name)
-            return spec.get();
-    return nullptr;
+    return kAttacks.at(static_cast<std::size_t>(kind));
 }
 
 const char *
 attackName(AttackKind kind)
 {
-    const AttackSpec *spec = Registry::instance().find(kind);
-    return spec ? spec->display.c_str() : "?";
+    return attackSpec(kind).display;
 }
 
 const char *
 attackToken(AttackKind kind)
 {
-    const AttackSpec *spec = Registry::instance().find(kind);
-    return spec ? spec->name.c_str() : "?";
+    return attackSpec(kind).name;
 }
 
 std::optional<AttackKind>
 parseAttackKind(std::string_view name)
 {
-    const AttackSpec *spec = Registry::instance().find(name);
-    if (!spec)
-        return std::nullopt;
-    return spec->kind;
+    for (const AttackSpec &spec : kAttacks) {
+        if (name == spec.name || name == spec.display)
+            return spec.kind;
+    }
+    return std::nullopt;
+}
+
+const char *
+outcomeName(Outcome outcome)
+{
+    switch (outcome) {
+      case Outcome::Escalated: return "ESCALATED";
+      case Outcome::SelfReference: return "SELF-REFERENCE";
+      case Outcome::KernelCorrupted: return "KERNEL-CORRUPTED";
+      case Outcome::NoCorruption: return "NO-CORRUPTION";
+      case Outcome::Detected: return "DETECTED";
+      case Outcome::Blocked: return "BLOCKED";
+    }
+    return "?";
+}
+
+std::optional<Outcome>
+parseOutcome(std::string_view name)
+{
+    for (const Outcome outcome :
+         {Outcome::Escalated, Outcome::SelfReference,
+          Outcome::KernelCorrupted, Outcome::NoCorruption,
+          Outcome::Detected, Outcome::Blocked}) {
+        if (name == outcomeName(outcome))
+            return outcome;
+    }
+    return std::nullopt;
 }
 
 } // namespace ctamem::attack

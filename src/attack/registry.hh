@@ -1,29 +1,27 @@
 /**
  * @file
- * Name-keyed attack runner registry.
+ * The attack table: one constant row per AttackKind.
  *
- * Every implemented attack registers one `AttackSpec` (canonical
- * manifest token, display name, and a runner closure over
- * kernel+engine).  `Machine::runAttack`, the Campaign engine, the
- * scenario manifests and `attack_lab` all dispatch through this table
- * instead of a hard-coded enum switch, so adding attack N+1 is one
- * registration, not an edit to the sim layer.
+ * Every implemented attack has one `AttackSpec` (canonical manifest
+ * token, display name, and a runner over kernel+engine).
+ * `Machine::runAttack`, the Campaign engine, the scenario manifests
+ * and `attack_lab` all dispatch through this table instead of a
+ * hard-coded enum switch, so adding attack N+1 is one enumerator
+ * plus one row.
  *
- * `AttackKind` lives here (the attack layer) so the registry, the
- * parser and the sim layer share one definition; `sim::AttackKind`
- * remains a valid spelling via a using-declaration in machine.hh.
+ * `AttackKind` lives here (the attack layer) so the table, the parser
+ * and the sim layer share one definition; `sim::AttackKind` remains a
+ * valid spelling via a using-declaration in machine.hh.
  */
 
 #ifndef CTAMEM_ATTACK_REGISTRY_HH
 #define CTAMEM_ATTACK_REGISTRY_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "attack/result.hh"
 #include "defense/registry.hh"
@@ -52,6 +50,10 @@ enum class AttackKind : std::uint8_t
     FuzzHammer,        //!< replay the PatternFuzzer's best pattern
 };
 
+/** Rows of kAttacks: a new attack goes last and moves this bound. */
+inline constexpr std::size_t kAttackKinds =
+    static_cast<std::size_t>(AttackKind::FuzzHammer) + 1;
+
 /** Human-readable attack name (the Table-1 row heading). */
 const char *attackName(AttackKind kind);
 
@@ -68,8 +70,8 @@ std::optional<AttackKind> parseAttackKind(std::string_view name);
  * Machine-level context handed to every attack runner.  Most attacks
  * only need kernel + engine; the timing-aware ones additionally read
  * which defense they are up against and its knobs (the fuzzer builds
- * private observer replicas from the registry factory), and the fuzz
- * search configuration.
+ * private observer replicas from the defense table's factory), and
+ * the fuzz search configuration.
  */
 struct AttackParams
 {
@@ -78,43 +80,29 @@ struct AttackParams
     fuzz::FuzzParams fuzz;
 };
 
-/** One registered attack. */
+/** Runs one attack against one built machine. */
+using AttackRunner = AttackResult (*)(kernel::Kernel &,
+                                      dram::RowHammerEngine &,
+                                      const AttackParams &);
+
+/** One row of the attack table. */
 struct AttackSpec
 {
-    AttackKind kind = AttackKind::ProjectZero;
-    std::string name;    //!< canonical manifest token ("drammer")
-    std::string display; //!< table heading ("Drammer templating")
-    /** Run the attack against one built machine. */
-    std::function<AttackResult(kernel::Kernel &,
-                               dram::RowHammerEngine &,
-                               const AttackParams &)>
-        run;
+    AttackKind kind;
+    const char *name;    //!< canonical manifest token ("drammer")
+    const char *display; //!< table heading ("Drammer templating")
+    AttackRunner run;
 };
 
-/** The process-wide attack table (built-ins self-register). */
-class Registry
-{
-  public:
-    static Registry &instance();
+/**
+ * Every attack, one row per AttackKind in enum order; the build fails
+ * (a static_assert next to the definition) when a row is missing or
+ * out of order.
+ */
+extern const std::array<AttackSpec, kAttackKinds> kAttacks;
 
-    /** Register a spec; fatals on a duplicate kind or name. */
-    void add(AttackSpec spec);
-
-    const AttackSpec *find(AttackKind kind) const;
-    /** Lookup by canonical token or display name. */
-    const AttackSpec *find(std::string_view name) const;
-
-    /** All specs, in registration order (stable addresses). */
-    const std::vector<std::unique_ptr<AttackSpec>> &all() const
-    {
-        return specs_;
-    }
-
-  private:
-    Registry() = default;
-
-    std::vector<std::unique_ptr<AttackSpec>> specs_;
-};
+/** The row of @p kind. */
+const AttackSpec &attackSpec(AttackKind kind);
 
 } // namespace ctamem::attack
 

@@ -14,35 +14,9 @@ using kernel::Kernel;
 
 namespace {
 
-/** ProjectZero-style spray: tables interleaved with aggressor pages. */
-std::vector<VAddr>
-sprayArena(AttackerContext &ctx, const TimedHammerConfig &config)
-{
-    Kernel &kernel = ctx.kernel();
-    const int fd = kernel.createFile(config.bytesPerMapping);
-    const paging::PageFlags rw{true, false, false};
-    std::vector<VAddr> mappings;
-    mappings.reserve(config.mappings);
-    for (unsigned i = 0; i < config.mappings; ++i) {
-        const VAddr base = kernel.mmapFile(
-            ctx.pid(), fd, config.bytesPerMapping, rw);
-        if (base == 0 || !kernel.touchUser(ctx.pid(), base))
-            break;
-        mappings.push_back(base);
-        if (config.anonPagesPerMapping > 0) {
-            const VAddr anon = kernel.mmapAnon(
-                ctx.pid(),
-                config.anonPagesPerMapping * kernel.pageBytes(), rw);
-            for (unsigned page = 0;
-                 page < config.anonPagesPerMapping; ++page) {
-                kernel.touchUser(ctx.pid(),
-                                 anon + page * kernel.pageBytes());
-            }
-        }
-    }
-    ctx.charge(config.cost.sprayFill);
-    return mappings;
-}
+constexpr unsigned sprayMappings = 32;
+constexpr std::uint64_t bytesPerMapping = 64 * KiB;
+constexpr unsigned anonPagesPerMapping = 2;
 
 /**
  * Where to anchor a pattern replay: the first sandwich's (bank,
@@ -67,23 +41,13 @@ replayAnchor(AttackerContext &ctx)
 
 /** Shared post-hammer exploitation + outcome classification. */
 void
-conclude(Kernel &kernel, int pid,
-         const std::vector<VAddr> &mappings,
-         const TimedHammerConfig &config, bool all_suppressed,
-         AttackResult &result)
+conclude(Kernel &kernel, int pid, const std::vector<VAddr> &mappings,
+         bool all_suppressed, AttackResult &result)
 {
     if (result.flipsInduced > 0) {
-        const auto self_ref = detectSelfReference(
-            kernel, pid, mappings, config.bytesPerMapping);
-        if (self_ref) {
-            ++result.selfReferences;
-            result.outcome = Outcome::SelfReference;
-            result.detail = "self-reference at attacker vaddr";
-            if (escalate(kernel, pid, *self_ref)) {
-                result.outcome = Outcome::Escalated;
-                result.detail = "kernel secret read from user mode";
-            }
-        }
+        exploit(kernel, pid, mappings, bytesPerMapping, result,
+                "self-reference at attacker vaddr",
+                "kernel secret read from user mode");
         return;
     }
     if (result.hammerPasses > 0 && all_suppressed) {
@@ -99,7 +63,6 @@ conclude(Kernel &kernel, int pid,
 AttackResult
 replayPattern(Kernel &kernel, dram::RowHammerEngine &engine,
               const AttackParams &params,
-              const TimedHammerConfig &config,
               const fuzz::HammeringPattern &pattern,
               std::string detail)
 {
@@ -107,7 +70,9 @@ replayPattern(Kernel &kernel, dram::RowHammerEngine &engine,
     const int pid = kernel.createProcess("timed-attacker");
     AttackerContext ctx(kernel, engine, pid);
 
-    const std::vector<VAddr> mappings = sprayArena(ctx, config);
+    const std::vector<VAddr> mappings =
+        ctx.spray(sprayMappings, bytesPerMapping, anonPagesPerMapping);
+    ctx.charge(kSprayFillCost);
     if (mappings.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "spray produced no mappings";
@@ -131,13 +96,12 @@ replayPattern(Kernel &kernel, dram::RowHammerEngine &engine,
 
     result.hammerPasses = run.windows;
     result.flipsInduced = replay.total();
-    ctx.charge(config.cost.hammerPerRow * run.windows);
-    ctx.charge(config.cost.checkPerPte * mappings.size() *
-               (config.bytesPerMapping / kernel.pageBytes()));
+    ctx.charge(kHammerRowCost * run.windows);
+    ctx.charge(kCheckPteCost * mappings.size() *
+               (bytesPerMapping / kernel.pageBytes()));
     result.detail = std::move(detail);
 
-    conclude(kernel, pid, mappings, config, replay.suppressed,
-             result);
+    conclude(kernel, pid, mappings, replay.suppressed, result);
     result.attackTime = ctx.elapsed();
     return result;
 }
@@ -146,15 +110,17 @@ replayPattern(Kernel &kernel, dram::RowHammerEngine &engine,
 
 AttackResult
 runUniformHammer(Kernel &kernel, dram::RowHammerEngine &engine,
-                 const AttackParams &params,
-                 const TimedHammerConfig &config)
+                 const AttackParams &)
 {
-    (void)params;
+    constexpr unsigned maxPasses = 4;
+
     AttackResult result;
     const int pid = kernel.createProcess("uniform-attacker");
     AttackerContext ctx(kernel, engine, pid);
 
-    const std::vector<VAddr> mappings = sprayArena(ctx, config);
+    const std::vector<VAddr> mappings =
+        ctx.spray(sprayMappings, bytesPerMapping, anonPagesPerMapping);
+    ctx.charge(kSprayFillCost);
     if (mappings.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "spray produced no mappings";
@@ -163,49 +129,31 @@ runUniformHammer(Kernel &kernel, dram::RowHammerEngine &engine,
 
     const auto sandwiches = ctx.findSandwiches();
     bool all_suppressed = true;
-    for (unsigned pass = 0; pass < config.maxPasses; ++pass) {
-        if (sandwiches.empty()) {
-            for (const OwnedRow &row : ctx.ownedRows()) {
-                const dram::HammerResult hammer = ctx.hammerOwnRow(
-                    row.vaddrs.front(), config.cost);
-                ++result.hammerPasses;
-                result.flipsInduced += hammer.total();
-                all_suppressed &= hammer.suppressed;
-            }
-        } else {
-            for (const auto &[bank, victim] : sandwiches) {
-                const dram::HammerResult hammer =
-                    ctx.hammerSandwich(bank, victim, config.cost);
-                ++result.hammerPasses;
-                result.flipsInduced += hammer.total();
-                all_suppressed &= hammer.suppressed;
-            }
-        }
+    for (unsigned pass = 0; pass < maxPasses; ++pass) {
+        all_suppressed &= ctx.hammerPass(sandwiches, result);
         if (result.flipsInduced == 0 && pass >= 1)
             break; // deterministic: more identical passes won't help
     }
 
-    conclude(kernel, pid, mappings, config, all_suppressed, result);
+    conclude(kernel, pid, mappings, all_suppressed, result);
     result.attackTime = ctx.elapsed();
     return result;
 }
 
 AttackResult
 runSyncHammer(Kernel &kernel, dram::RowHammerEngine &engine,
-              const AttackParams &params,
-              const TimedHammerConfig &config)
+              const AttackParams &params)
 {
     const fuzz::PatternBuilder builder(params.fuzz.builder,
                                        params.fuzz.timing);
-    return replayPattern(kernel, engine, params, config,
+    return replayPattern(kernel, engine, params,
                          builder.family("sync"),
                          "replayed the fixed sync family");
 }
 
 AttackResult
 runFuzzHammer(Kernel &kernel, dram::RowHammerEngine &engine,
-              const AttackParams &params,
-              const TimedHammerConfig &config)
+              const AttackParams &params)
 {
     // Template phase: search against a private replica of this
     // machine's module and defense.  Serial on purpose — campaign
@@ -213,14 +161,12 @@ runFuzzHammer(Kernel &kernel, dram::RowHammerEngine &engine,
     // is trivially deterministic.
     fuzz::FuzzTarget target;
     target.dram = kernel.dram().config();
-    const defense::DefenseSpec *spec =
-        defense::Registry::instance().find(params.defense);
-    if (spec && spec->makeObserver) {
-        target.makeObserver =
-            [factory = spec->makeObserver,
-             defense_params = params.defenseParams] {
-                return factory(defense_params);
-            };
+    if (const defense::ObserverFactory factory =
+            defense::defenseSpec(params.defense).makeObserver) {
+        target.makeObserver = [factory,
+                               defense_params = params.defenseParams] {
+            return factory(defense_params);
+        };
     }
 
     fuzz::PatternFuzzer fuzzer(std::move(target), params.fuzz);
@@ -236,7 +182,7 @@ runFuzzHammer(Kernel &kernel, dram::RowHammerEngine &engine,
              : std::to_string(found.firstBypassGeneration)) +
         " hash=" + std::to_string(found.best.hash());
 
-    return replayPattern(kernel, engine, params, config, found.best,
+    return replayPattern(kernel, engine, params, found.best,
                          std::move(detail));
 }
 

@@ -34,30 +34,21 @@
 
 namespace ctamem::attack {
 
-/** Spray + hammer shape shared by the timing-aware attacks. */
-struct TimedHammerConfig
-{
-    unsigned mappings = 32;
-    std::uint64_t bytesPerMapping = 64 * KiB;
-    unsigned anonPagesPerMapping = 2;
-    unsigned maxPasses = 4; //!< untimed passes (uniform only)
-    CostModel cost;
-};
-
+/**
+ * All three spray 32 mappings of 64 KiB with two aggressor pages
+ * each; the uniform attack hammers up to four untimed rounds.
+ */
 AttackResult runUniformHammer(kernel::Kernel &kernel,
                               dram::RowHammerEngine &engine,
-                              const AttackParams &params,
-                              const TimedHammerConfig &config = {});
+                              const AttackParams &params);
 
 AttackResult runSyncHammer(kernel::Kernel &kernel,
                            dram::RowHammerEngine &engine,
-                           const AttackParams &params,
-                           const TimedHammerConfig &config = {});
+                           const AttackParams &params);
 
 AttackResult runFuzzHammer(kernel::Kernel &kernel,
                            dram::RowHammerEngine &engine,
-                           const AttackParams &params,
-                           const TimedHammerConfig &config = {});
+                           const AttackParams &params);
 
 } // namespace ctamem::attack
 

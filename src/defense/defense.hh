@@ -13,6 +13,7 @@
 #ifndef CTAMEM_DEFENSE_DEFENSE_HH
 #define CTAMEM_DEFENSE_DEFENSE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -38,6 +39,10 @@ enum class DefenseKind : std::uint8_t
     SoftTrr,      //!< software target-row refresh (observer)
     TrrSampler,   //!< in-DRAM TRR activation sampler (observer)
 };
+
+/** Rows of kDefenses: a new defense goes last and moves this bound. */
+inline constexpr std::size_t kDefenseKinds =
+    static_cast<std::size_t>(DefenseKind::TrrSampler) + 1;
 
 /** Human-readable defense name (the Table-1 column heading). */
 const char *defenseName(DefenseKind kind);

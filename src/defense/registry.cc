@@ -1,6 +1,5 @@
 #include "defense/registry.hh"
 
-#include "common/log.hh"
 #include "defense/observers.hh"
 #include "defense/softtrr.hh"
 #include "defense/trr_sampler.hh"
@@ -22,136 +21,103 @@ configureCta(const DefenseParams &params, KernelConfig &kconfig)
     kconfig.cta.screenPageSizeBit = params.ctaScreenPageSize;
 }
 
-/**
- * The defense families the paper compares (Table 1 columns), exactly
- * as the old `Machine::Machine` switch built them.
- */
-void
-registerBuiltinDefenses(Registry &registry)
-{
-    registry.add(DefenseSpec{DefenseKind::None, "none", "none",
-                             nullptr, nullptr});
-
-    registry.add(DefenseSpec{DefenseKind::Cta, "cta", "CTA",
-                             configureCta, nullptr});
-
-    registry.add(DefenseSpec{
-        DefenseKind::CtaRestricted, "cta-restricted",
-        "CTA+restriction",
-        [](const DefenseParams &params, KernelConfig &kconfig) {
-            configureCta(params, kconfig);
-            kconfig.cta.minIndicatorZeros = 2;
-        },
-        nullptr});
-
-    registry.add(DefenseSpec{
-        DefenseKind::Catt, "catt", "CATT",
-        [](const DefenseParams &, KernelConfig &kconfig) {
-            kconfig.policy = AllocPolicy::Catt;
-        },
-        nullptr});
-
-    registry.add(DefenseSpec{
-        DefenseKind::Zebram, "zebram", "ZebRAM-lite",
-        [](const DefenseParams &, KernelConfig &kconfig) {
-            kconfig.policy = AllocPolicy::Zebram;
-        },
-        nullptr});
-
-    registry.add(DefenseSpec{
-        DefenseKind::RefreshBoost, "refresh", "refresh-boost",
-        nullptr,
-        [](const DefenseParams &params) {
-            return std::make_unique<RefreshBoostObserver>(
-                params.refreshBoostFactor,
-                deriveSeed(params.seed, seeds::kRefreshBoostStream));
-        }});
-
-    registry.add(DefenseSpec{
-        DefenseKind::Para, "para", "PARA", nullptr,
-        [](const DefenseParams &params) {
-            return std::make_unique<ParaObserver>(
-                params.paraProbability,
-                deriveSeed(params.seed, seeds::kParaStream));
-        }});
-
-    registry.add(DefenseSpec{
-        DefenseKind::Anvil, "anvil", "ANVIL", nullptr,
-        [](const DefenseParams &params) {
-            return std::make_unique<AnvilObserver>(
-                params.anvilThreshold);
-        }});
-}
-
 } // namespace
 
-Registry &
-Registry::instance()
-{
-    static Registry *registry = [] {
-        auto *r = new Registry;
-        registerBuiltinDefenses(*r);
-        // Extension defenses hook in here — each registers itself
-        // against the table without touching the sim/kernel layers.
-        detail::registerSoftTrrDefense(*r);
-        detail::registerTrrSamplerDefense(*r);
-        return r;
-    }();
-    return *registry;
-}
+/**
+ * The defense families the paper compares (Table 1 columns), then
+ * the two TRR-style observers.  SoftTRR and the in-DRAM TRR sampler
+ * boot the Standard policy: one is software-only, the other lives in
+ * the DRAM device.
+ */
+constexpr std::array<DefenseSpec, kDefenseKinds> kDefenses{{
+    {DefenseKind::None, "none", "none", nullptr, nullptr},
+    {DefenseKind::Cta, "cta", "CTA", configureCta, nullptr},
+    {DefenseKind::CtaRestricted, "cta-restricted", "CTA+restriction",
+     [](const DefenseParams &params, KernelConfig &kconfig) {
+         configureCta(params, kconfig);
+         kconfig.cta.minIndicatorZeros = 2;
+     },
+     nullptr},
+    {DefenseKind::Catt, "catt", "CATT",
+     [](const DefenseParams &, KernelConfig &kconfig) {
+         kconfig.policy = AllocPolicy::Catt;
+     },
+     nullptr},
+    {DefenseKind::Zebram, "zebram", "ZebRAM-lite",
+     [](const DefenseParams &, KernelConfig &kconfig) {
+         kconfig.policy = AllocPolicy::Zebram;
+     },
+     nullptr},
+    {DefenseKind::RefreshBoost, "refresh", "refresh-boost", nullptr,
+     [](const DefenseParams &params)
+         -> std::unique_ptr<ObserverDefense> {
+         return std::make_unique<RefreshBoostObserver>(
+             params.refreshBoostFactor,
+             deriveSeed(params.seed, seeds::kRefreshBoostStream));
+     }},
+    {DefenseKind::Para, "para", "PARA", nullptr,
+     [](const DefenseParams &params)
+         -> std::unique_ptr<ObserverDefense> {
+         return std::make_unique<ParaObserver>(
+             params.paraProbability,
+             deriveSeed(params.seed, seeds::kParaStream));
+     }},
+    {DefenseKind::Anvil, "anvil", "ANVIL", nullptr,
+     [](const DefenseParams &params)
+         -> std::unique_ptr<ObserverDefense> {
+         return std::make_unique<AnvilObserver>(params.anvilThreshold);
+     }},
+    {DefenseKind::SoftTrr, "softtrr", "SoftTRR", nullptr,
+     [](const DefenseParams &params)
+         -> std::unique_ptr<ObserverDefense> {
+         return std::make_unique<SoftTrrObserver>(
+             params.softTrrThreshold, params.softTrrTracked);
+     }},
+    {DefenseKind::TrrSampler, "trr", "TRR-sampler", nullptr,
+     [](const DefenseParams &params)
+         -> std::unique_ptr<ObserverDefense> {
+         return std::make_unique<TrrSamplerObserver>(
+             params.trrSamplers, params.trrWindow,
+             deriveSeed(params.seed, seeds::kTrrSamplerStream));
+     }},
+}};
 
-void
-Registry::add(DefenseSpec spec)
-{
-    for (const auto &existing : specs_) {
-        if (existing->kind == spec.kind ||
-            existing->name == spec.name) {
-            fatal("defense registry: duplicate registration of \"",
-                  spec.name, "\"");
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kDefenses.size(); ++i) {
+            if (static_cast<std::size_t>(kDefenses[i].kind) != i)
+                return false;
         }
-    }
-    specs_.push_back(std::make_unique<DefenseSpec>(std::move(spec)));
-}
+        return true;
+    }(),
+    "kDefenses needs one row per DefenseKind, in enum order");
 
-const DefenseSpec *
-Registry::find(DefenseKind kind) const
+const DefenseSpec &
+defenseSpec(DefenseKind kind)
 {
-    for (const auto &spec : specs_)
-        if (spec->kind == kind)
-            return spec.get();
-    return nullptr;
-}
-
-const DefenseSpec *
-Registry::find(std::string_view name) const
-{
-    for (const auto &spec : specs_)
-        if (spec->name == name || spec->display == name)
-            return spec.get();
-    return nullptr;
+    return kDefenses.at(static_cast<std::size_t>(kind));
 }
 
 const char *
 defenseName(DefenseKind kind)
 {
-    const DefenseSpec *spec = Registry::instance().find(kind);
-    return spec ? spec->display.c_str() : "?";
+    return defenseSpec(kind).display;
 }
 
 const char *
 defenseToken(DefenseKind kind)
 {
-    const DefenseSpec *spec = Registry::instance().find(kind);
-    return spec ? spec->name.c_str() : "?";
+    return defenseSpec(kind).name;
 }
 
 std::optional<DefenseKind>
 parseDefenseKind(std::string_view name)
 {
-    const DefenseSpec *spec = Registry::instance().find(name);
-    if (!spec)
-        return std::nullopt;
-    return spec->kind;
+    for (const DefenseSpec &spec : kDefenses) {
+        if (name == spec.name || name == spec.display)
+            return spec.kind;
+    }
+    return std::nullopt;
 }
 
 } // namespace ctamem::defense

@@ -1,25 +1,21 @@
 /**
  * @file
- * Name-keyed defense factory registry.
+ * The defense table: one constant row per DefenseKind.
  *
  * A defense is two optional factories: a kernel-config hook (pick the
  * AllocPolicy and CTA tunables the machine boots with) and an
  * observer factory (the memory-controller / software mitigation side
  * plugged into the hammer engine).  `Machine::Machine` dispatches
  * through this table instead of switching on `DefenseKind`, so a new
- * defense — SoftTRR is the proof (defense/softtrr.*) — is registered
- * here without touching machine.cc or kernel.cc.
+ * defense is one enumerator plus one row, without touching machine.cc
+ * or kernel.cc.
  */
 
 #ifndef CTAMEM_DEFENSE_REGISTRY_HH
 #define CTAMEM_DEFENSE_REGISTRY_HH
 
-#include <functional>
+#include <array>
 #include <memory>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/rng.hh"
 #include "defense/defense.hh"
@@ -30,8 +26,8 @@ namespace ctamem::defense {
 /**
  * Every tunable a defense factory may consult.  This is the one
  * declaration of each knob: the sim layer's MachineConfig derives
- * from it, so the defense registry stays below sim in the layer
- * order without a second copy of the fields.
+ * from it, so the defense table stays below sim in the layer order
+ * without a second copy of the fields.
  */
 struct DefenseParams
 {
@@ -51,53 +47,35 @@ struct DefenseParams
     bool operator==(const DefenseParams &) const = default;
 };
 
-/** One registered defense. */
+/** Adjusts the kernel boot configuration (policy, CTA tunables). */
+using KernelConfigurer = void (*)(const DefenseParams &,
+                                  kernel::KernelConfig &);
+
+/** Builds the mitigation observer plugged into the hammer engine. */
+using ObserverFactory =
+    std::unique_ptr<ObserverDefense> (*)(const DefenseParams &);
+
+/** One row of the defense table. */
 struct DefenseSpec
 {
-    DefenseKind kind = DefenseKind::None;
-    std::string name;    //!< canonical manifest token ("cta")
-    std::string display; //!< table heading ("CTA")
-
-    /**
-     * Adjust the kernel boot configuration (allocation policy, CTA
-     * tunables).  Null means "boot the vulnerable Standard policy".
-     */
-    std::function<void(const DefenseParams &, kernel::KernelConfig &)>
-        configureKernel;
-
-    /**
-     * Build the mitigation observer plugged into the hammer engine.
-     * Null means the defense has no observer side.
-     */
-    std::function<std::unique_ptr<ObserverDefense>(
-        const DefenseParams &)>
-        makeObserver;
+    DefenseKind kind;
+    const char *name;    //!< canonical manifest token ("cta")
+    const char *display; //!< table heading ("CTA")
+    /** Null means "boot the vulnerable Standard policy". */
+    KernelConfigurer configureKernel;
+    /** Null means the defense has no observer side. */
+    ObserverFactory makeObserver;
 };
 
-/** The process-wide defense table (built-ins self-register). */
-class Registry
-{
-  public:
-    static Registry &instance();
+/**
+ * Every defense, one row per DefenseKind in enum order; the build
+ * fails (a static_assert next to the definition) when a row is
+ * missing or out of order.
+ */
+extern const std::array<DefenseSpec, kDefenseKinds> kDefenses;
 
-    /** Register a spec; fatals on a duplicate kind or name. */
-    void add(DefenseSpec spec);
-
-    const DefenseSpec *find(DefenseKind kind) const;
-    /** Lookup by canonical token or display name. */
-    const DefenseSpec *find(std::string_view name) const;
-
-    /** All specs, in registration order (stable addresses). */
-    const std::vector<std::unique_ptr<DefenseSpec>> &all() const
-    {
-        return specs_;
-    }
-
-  private:
-    Registry() = default;
-
-    std::vector<std::unique_ptr<DefenseSpec>> specs_;
-};
+/** The row of @p kind. */
+const DefenseSpec &defenseSpec(DefenseKind kind);
 
 /** Canonical manifest token (e.g. "cta-restricted"). */
 const char *defenseToken(DefenseKind kind);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "defense/registry.hh"
-
 namespace ctamem::defense {
 
 bool
@@ -47,22 +45,5 @@ SoftTrrObserver::onHammer(const dram::DisturbanceEvent &event)
     }
     return false;
 }
-
-namespace detail {
-
-void
-registerSoftTrrDefense(Registry &registry)
-{
-    registry.add(DefenseSpec{
-        DefenseKind::SoftTrr, "softtrr", "SoftTRR",
-        /*configureKernel=*/nullptr, // Standard policy: the defense
-                                     // is software-only by design
-        [](const DefenseParams &params) {
-            return std::make_unique<SoftTrrObserver>(
-                params.softTrrThreshold, params.softTrrTracked);
-        }});
-}
-
-} // namespace detail
 
 } // namespace ctamem::defense

@@ -20,9 +20,8 @@
  * an attacker interleaving more aggressor rows than the table tracks
  * can evict counters before they trip.
  *
- * This defense exists to prove the registry layer out: it is wired
- * into sweeps purely via `defense::Registry` registration — no edits
- * to machine.cc or kernel.cc (see defense/softtrr.cc).
+ * Sweeps reach it through its row in the defense table
+ * (defense/registry.cc), like every other defense.
  */
 
 #ifndef CTAMEM_DEFENSE_SOFTTRR_HH
@@ -33,8 +32,6 @@
 #include "defense/defense.hh"
 
 namespace ctamem::defense {
-
-class Registry;
 
 /** Software target-row-refresh observer. */
 class SoftTrrObserver : public ObserverDefense
@@ -76,13 +73,6 @@ class SoftTrrObserver : public ObserverDefense
     std::vector<Slot> table_;
     std::uint64_t evictions_ = 0;
 };
-
-namespace detail {
-
-/** Called by the registry bootstrap; registers the "softtrr" spec. */
-void registerSoftTrrDefense(Registry &registry);
-
-} // namespace detail
 
 } // namespace ctamem::defense
 

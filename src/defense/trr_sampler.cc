@@ -1,7 +1,5 @@
 #include "defense/trr_sampler.hh"
 
-#include "defense/registry.hh"
-
 namespace ctamem::defense {
 
 bool
@@ -47,23 +45,5 @@ TrrSamplerObserver::onRef(const dram::RefEvent &event,
     sampled_.clear();
     eligibleSeen_ = 0;
 }
-
-namespace detail {
-
-void
-registerTrrSamplerDefense(Registry &registry)
-{
-    registry.add(DefenseSpec{
-        DefenseKind::TrrSampler, "trr", "TRR-sampler",
-        /*configureKernel=*/nullptr, // in-DRAM: the kernel boots the
-                                     // vulnerable Standard policy
-        [](const DefenseParams &params) {
-            return std::make_unique<TrrSamplerObserver>(
-                params.trrSamplers, params.trrWindow,
-                deriveSeed(params.seed, seeds::kTrrSamplerStream));
-        }});
-}
-
-} // namespace detail
 
 } // namespace ctamem::defense

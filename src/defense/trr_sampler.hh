@@ -35,8 +35,6 @@
 
 namespace ctamem::defense {
 
-class Registry;
-
 /** In-DRAM TRR sampler observer. */
 class TrrSamplerObserver : public ObserverDefense
 {
@@ -90,13 +88,6 @@ class TrrSamplerObserver : public ObserverDefense
     std::vector<std::uint64_t> sampled_; //!< held aggressor rows
     std::uint64_t eligibleSeen_ = 0;     //!< eligible bursts this window
 };
-
-namespace detail {
-
-/** Called by the registry bootstrap; registers the "trr" spec. */
-void registerTrrSamplerDefense(Registry &registry);
-
-} // namespace detail
 
 } // namespace ctamem::defense
 

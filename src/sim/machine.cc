@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
 #include "defense/registry.hh"
 
 namespace ctamem::sim {
@@ -11,13 +10,8 @@ using defense::DefenseKind;
 
 Machine::Machine(const MachineConfig &config) : config_(config)
 {
-    const defense::DefenseSpec *spec =
-        defense::Registry::instance().find(config.defense);
-    if (!spec) {
-        fatal("machine: defense kind ",
-              static_cast<int>(config.defense),
-              " has no registry entry");
-    }
+    const defense::DefenseSpec &spec =
+        defense::defenseSpec(config.defense);
 
     kernel::KernelConfig kconfig;
     kconfig.dram.capacity = config.memBytes;
@@ -28,8 +22,8 @@ Machine::Machine(const MachineConfig &config) : config_(config)
     kconfig.dram.errors.pf = config.pf;
     kconfig.dram.seed = config.seed;
 
-    if (spec->configureKernel)
-        spec->configureKernel(config, kconfig);
+    if (spec.configureKernel)
+        spec.configureKernel(config, kconfig);
     kconfig.arch = &paging::resolveArch(config.arch, config.granule);
 
     kernel_ = std::make_unique<kernel::Kernel>(kconfig);
@@ -43,8 +37,8 @@ Machine::Machine(const MachineConfig &config) : config_(config)
     kernel_->dram().store().reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(config.memBytes / pageSize, 32768)));
 
-    if (spec->makeObserver)
-        observer_ = spec->makeObserver(config);
+    if (spec.makeObserver)
+        observer_ = spec.makeObserver(config);
 
     engine_ = std::make_unique<dram::RowHammerEngine>(
         kernel_->dram(), observer_.get());
@@ -61,17 +55,11 @@ Machine::anvil()
 attack::AttackResult
 Machine::runAttack(AttackKind kind)
 {
-    const attack::AttackSpec *spec =
-        attack::Registry::instance().find(kind);
-    if (!spec) {
-        fatal("machine: attack kind ", static_cast<int>(kind),
-              " has no registry entry");
-    }
     attack::AttackParams params;
     params.defense = config_.defense;
     params.defenseParams = config_;
     params.fuzz = config_.fuzz;
-    return spec->run(*kernel_, *engine_, params);
+    return attack::attackSpec(kind).run(*kernel_, *engine_, params);
 }
 
 } // namespace ctamem::sim

@@ -5,10 +5,10 @@
  * hammer engine, plus the single attack dispatch the benches,
  * examples and the Campaign engine program against.
  *
- * Defense and attack construction both go through the name-keyed
- * registries (defense::Registry, attack::Registry): the machine holds
- * no per-kind switch, so new defenses/attacks plug in by registration
- * and by name in scenario manifests.
+ * Defense and attack construction both go through the constant
+ * tables (defense::kDefenses, attack::kAttacks): the machine holds no
+ * per-kind switch, so a new defense or attack is one enumerator plus
+ * one table row, and manifests name it by its token.
  */
 
 #ifndef CTAMEM_SIM_MACHINE_HH

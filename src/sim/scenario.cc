@@ -34,8 +34,8 @@ parseDefense(const Json &j)
     const auto kind = defense::parseDefenseKind(name);
     if (!kind) {
         std::string known;
-        for (const auto &spec : defense::Registry::instance().all())
-            known += " " + spec->name;
+        for (const defense::DefenseSpec &spec : defense::kDefenses)
+            known += std::string(" ") + spec.name;
         throw JsonError("unknown defense \"" + name +
                         "\" (known:" + known + ")");
     }
@@ -49,8 +49,8 @@ parseAttack(const Json &j)
     const auto kind = parseAttackKind(name);
     if (!kind) {
         std::string known;
-        for (const auto &spec : attack::Registry::instance().all())
-            known += " " + spec->name;
+        for (const attack::AttackSpec &spec : attack::kAttacks)
+            known += std::string(" ") + spec.name;
         throw JsonError("unknown attack \"" + name +
                         "\" (known:" + known + ")");
     }

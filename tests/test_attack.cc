@@ -80,10 +80,7 @@ TEST(Drammer, TemplatingFindsReproducibleFlips)
 {
     Kernel kernel(machineConfig(AllocPolicy::Standard));
     dram::RowHammerEngine engine(kernel.dram());
-    DrammerConfig config;
-    config.arenaPages = 1024;
-    const TemplateReport report =
-        templateMemory(kernel, engine, config);
+    const TemplateReport report = templateMemory(kernel, engine, 1024);
     EXPECT_GT(report.templates.size(), 0u);
     EXPECT_GT(report.hammeredRows, 0u);
     // Templates observed in true-cell rows under an all-ones fill
@@ -101,9 +98,7 @@ TEST(Drammer, EscalatesOnUnprotectedKernel)
 {
     Kernel kernel(machineConfig(AllocPolicy::Standard));
     dram::RowHammerEngine engine(kernel.dram());
-    DrammerConfig config;
-    config.arenaPages = 1024;
-    const AttackResult result = runDrammer(kernel, engine, config);
+    const AttackResult result = runDrammer(kernel, engine, 1024);
     EXPECT_EQ(result.outcome, Outcome::Escalated) << result.detail;
 }
 
@@ -111,9 +106,7 @@ TEST(Drammer, BlockedByCta)
 {
     Kernel kernel(machineConfig(AllocPolicy::Cta));
     dram::RowHammerEngine engine(kernel.dram());
-    DrammerConfig config;
-    config.arenaPages = 1024;
-    const AttackResult result = runDrammer(kernel, engine, config);
+    const AttackResult result = runDrammer(kernel, engine, 1024);
     EXPECT_NE(result.outcome, Outcome::Escalated) << result.detail;
     EXPECT_NE(result.outcome, Outcome::SelfReference);
     EXPECT_TRUE(kernel.auditTheorem().holds());
@@ -125,7 +118,7 @@ TEST(Algorithm1, BlockedByCtaWithMonotonicEvidence)
     dram::RowHammerEngine engine(kernel.dram());
     Algorithm1Evidence evidence;
     const AttackResult result =
-        runAlgorithm1(kernel, engine, {}, &evidence);
+        runAlgorithm1(kernel, engine, &evidence);
 
     EXPECT_EQ(result.outcome, Outcome::Blocked) << result.detail;
     EXPECT_GT(evidence.ptesBefore, 0u);
@@ -194,10 +187,8 @@ TEST(CattBypass, DoubleOwnedPagesDefeatCatt)
     // deterministic self-reference through a low pointer bit.
     Kernel kernel(machineConfig(AllocPolicy::Catt, /*pf=*/1e-2));
     dram::RowHammerEngine engine(kernel.dram());
-    CattBypassConfig config;
-    config.mappings = 512;
     const AttackResult result =
-        runDoubleOwnedBypass(kernel, engine, config);
+        runDoubleOwnedBypass(kernel, engine, /*mappings=*/512);
     EXPECT_EQ(result.outcome, Outcome::Escalated) << result.detail;
 }
 

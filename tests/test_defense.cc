@@ -118,7 +118,7 @@ TEST(SoftTrr, BoundedTableEvictsColdestRow)
 
 TEST(DefenseVsAttack, SoftTrrStopsProjectZero)
 {
-    // The registration-only defense holds on its own: every hammer
+    // The software-only defense holds on its own: every hammer
     // pass exceeds the threshold, so no flips ever land.
     sim::MachineConfig config;
     config.defense = DefenseKind::SoftTrr;

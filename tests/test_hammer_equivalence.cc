@@ -8,7 +8,7 @@
  *  - the bit-parallel hammer path produces exactly the flips of the
  *    retained scalar reference implementation, cell for cell, on
  *    randomized modules and data patterns; and
- *  - every registry defense sees the same decision stream through the
+ *  - every table defense sees the same decision stream through the
  *    DisturbanceEvent observer interface that the old positional
  *    callback carried.
  */

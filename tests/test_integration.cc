@@ -142,9 +142,7 @@ TEST(Drammer, FullyDeterministicRuns)
         config.dram.banks = 1;
         Kernel kernel(config);
         dram::RowHammerEngine engine(kernel.dram());
-        attack::DrammerConfig dconfig;
-        dconfig.arenaPages = 512;
-        return attack::runDrammer(kernel, engine, dconfig);
+        return attack::runDrammer(kernel, engine, 512);
     };
     const attack::AttackResult a = run();
     const attack::AttackResult b = run();

@@ -117,10 +117,7 @@ TEST(PageSizeAttack, HijacksSingleLevelCta)
     // onto real page tables.
     Kernel kernel(psConfig(5e-2, false, false));
     dram::RowHammerEngine engine(kernel.dram());
-    PageSizeAttackConfig config;
-    config.largeMappings = 128;
-    const AttackResult result =
-        runPageSizeAttack(kernel, engine, config);
+    const AttackResult result = runPageSizeAttack(kernel, engine);
     EXPECT_EQ(result.outcome, Outcome::Escalated) << result.detail;
 }
 
@@ -135,10 +132,7 @@ TEST(PageSizeAttack, ScreeningBlocksIt)
     Kernel kernel(psConfig(5e-3, true, true));
     ASSERT_GT(kernel.ptpLayout()->screenedFrames, 0u);
     dram::RowHammerEngine engine(kernel.dram());
-    PageSizeAttackConfig config;
-    config.largeMappings = 128;
-    const AttackResult result =
-        runPageSizeAttack(kernel, engine, config);
+    const AttackResult result = runPageSizeAttack(kernel, engine);
     EXPECT_EQ(result.outcome, Outcome::Blocked) << result.detail;
 }
 

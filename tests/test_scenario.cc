@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the declarative scenario layer: registry name round
+ * Tests for the declarative scenario layer: table name round
  * trips, config <-> JSON round trips over the Table-1 grid, golden
  * byte-stable output, and manifest-vs-programmatic campaign equality
  * for every checked-in scenario.
@@ -44,19 +44,18 @@ readFile(const std::string &path)
 
 TEST(Registry, DefenseNamesRoundTrip)
 {
-    const auto &specs = defense::Registry::instance().all();
-    ASSERT_GE(specs.size(), 9u); // 8 built-ins + SoftTRR
-    for (const auto &spec : specs) {
+    // 8 Table-1 defenses + SoftTRR + the TRR sampler, in enum order.
+    ASSERT_EQ(defense::kDefenses.size(), 10u);
+    for (std::size_t i = 0; i < defense::kDefenses.size(); ++i) {
+        const defense::DefenseSpec &spec = defense::kDefenses[i];
+        EXPECT_EQ(static_cast<std::size_t>(spec.kind), i);
         // token -> kind, display -> kind, kind -> token/display.
-        EXPECT_EQ(defense::parseDefenseKind(spec->name), spec->kind)
-            << spec->name;
-        EXPECT_EQ(defense::parseDefenseKind(spec->display),
-                  spec->kind)
-            << spec->display;
-        EXPECT_STREQ(defense::defenseToken(spec->kind),
-                     spec->name.c_str());
-        EXPECT_STREQ(defense::defenseName(spec->kind),
-                     spec->display.c_str());
+        EXPECT_EQ(defense::parseDefenseKind(spec.name), spec.kind)
+            << spec.name;
+        EXPECT_EQ(defense::parseDefenseKind(spec.display), spec.kind)
+            << spec.display;
+        EXPECT_STREQ(defense::defenseToken(spec.kind), spec.name);
+        EXPECT_STREQ(defense::defenseName(spec.kind), spec.display);
     }
     EXPECT_EQ(defense::parseDefenseKind("no-such-defense"),
               std::nullopt);
@@ -64,18 +63,17 @@ TEST(Registry, DefenseNamesRoundTrip)
 
 TEST(Registry, AttackNamesRoundTrip)
 {
-    const auto &specs = attack::Registry::instance().all();
     // 5 untimed attacks + uniform/sync_hammer/fuzz_hammer.
-    ASSERT_EQ(specs.size(), 8u);
-    for (const auto &spec : specs) {
-        EXPECT_EQ(attack::parseAttackKind(spec->name), spec->kind)
-            << spec->name;
-        EXPECT_EQ(attack::parseAttackKind(spec->display), spec->kind)
-            << spec->display;
-        EXPECT_STREQ(attack::attackToken(spec->kind),
-                     spec->name.c_str());
-        EXPECT_STREQ(attack::attackName(spec->kind),
-                     spec->display.c_str());
+    ASSERT_EQ(attack::kAttacks.size(), 8u);
+    for (std::size_t i = 0; i < attack::kAttacks.size(); ++i) {
+        const attack::AttackSpec &spec = attack::kAttacks[i];
+        EXPECT_EQ(static_cast<std::size_t>(spec.kind), i);
+        EXPECT_EQ(attack::parseAttackKind(spec.name), spec.kind)
+            << spec.name;
+        EXPECT_EQ(attack::parseAttackKind(spec.display), spec.kind)
+            << spec.display;
+        EXPECT_STREQ(attack::attackToken(spec.kind), spec.name);
+        EXPECT_STREQ(attack::attackName(spec.kind), spec.display);
     }
     EXPECT_EQ(attack::parseAttackKind("no-such-attack"),
               std::nullopt);
@@ -448,8 +446,8 @@ TEST(Scenario, ManifestCampaignRunsLikeProgrammatic)
 
 TEST(Scenario, SoftTrrEntersSweepsPurelyByName)
 {
-    // SoftTRR was added via registration only (no machine.cc /
-    // kernel.cc edits): naming it in a manifest is enough to put it
+    // SoftTRR is one row of the defense table (no machine.cc /
+    // kernel.cc code): naming it in a manifest is enough to put it
     // in a Table-1-style sweep.
     const Campaign campaign =
         Campaign::fromManifest(repoPath("scenarios/hardened.json"));
