@@ -121,20 +121,19 @@ runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine)
     ctx.hammerPass(victims, result);
 
     result.ptesCorrupted = countTableCorruption(kernel, snapshot);
-    if (exploit(kernel, pid, mappings, bytesPerMapping, result, "",
-                "kernel secret read from user mode")) {
-        result.attackTime = ctx.elapsed();
-        return result;
-    }
-    if (result.ptesCorrupted > 0) {
-        // The isolation CATT promises is broken: user-driven hammering
-        // corrupted kernel page tables through the re-mapping.
-        result.outcome = Outcome::KernelCorrupted;
-        result.detail = "kernel page tables corrupted through "
-                        "re-mapped rows";
-    } else {
-        result.outcome = Outcome::NoCorruption;
-        result.detail = "no kernel corruption induced";
+    if (!exploit(kernel, pid, mappings, bytesPerMapping, result, "",
+                 "kernel secret read from user mode")) {
+        if (result.ptesCorrupted > 0) {
+            // The isolation CATT promises is broken: user-driven
+            // hammering corrupted kernel page tables through the
+            // re-mapping.
+            result.outcome = Outcome::KernelCorrupted;
+            result.detail = "kernel page tables corrupted through "
+                            "re-mapped rows";
+        } else {
+            result.outcome = Outcome::NoCorruption;
+            result.detail = "no kernel corruption induced";
+        }
     }
     result.attackTime = ctx.elapsed();
     return result;
@@ -189,20 +188,19 @@ runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
     // pointers live amid the page tables.
     std::vector<VAddr> scan = vbuf_windows;
     scan.insert(scan.end(), tables.begin(), tables.end());
-    if (exploit(kernel, pid, scan, kernel.pageBytes(), result, "",
-                "kernel secret read via double-owned window")) {
-        result.attackTime = ctx.elapsed();
-        return result;
-    }
-    if (result.ptesCorrupted > 0) {
-        result.outcome = Outcome::KernelCorrupted;
-        result.detail = "page tables corrupted from double-owned rows";
-    } else {
-        result.outcome = kernel.ptpLayout() ? Outcome::Blocked :
-                                              Outcome::NoCorruption;
-        result.detail = kernel.ptpLayout() ?
-            "CTA: monotonic PTP pointers unreachable" :
-            "no corruption induced";
+    if (!exploit(kernel, pid, scan, kernel.pageBytes(), result, "",
+                 "kernel secret read via double-owned window")) {
+        if (result.ptesCorrupted > 0) {
+            result.outcome = Outcome::KernelCorrupted;
+            result.detail =
+                "page tables corrupted from double-owned rows";
+        } else {
+            result.outcome = kernel.ptpLayout() ? Outcome::Blocked :
+                                                  Outcome::NoCorruption;
+            result.detail = kernel.ptpLayout() ?
+                "CTA: monotonic PTP pointers unreachable" :
+                "no corruption induced";
+        }
     }
     result.attackTime = ctx.elapsed();
     return result;
