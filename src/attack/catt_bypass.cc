@@ -143,6 +143,8 @@ AttackResult
 runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
                      unsigned mappings)
 {
+    constexpr unsigned maxRows = 64;
+
     AttackResult result;
     const int pid = kernel.createProcess("vbuf-attacker");
     AttackerContext ctx(kernel, engine, pid);
@@ -174,8 +176,11 @@ runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
 
     // The attacker's double-owned rows flank the table rows: hammer
     // every sandwich it owns (these include rows inside the kernel
-    // partition — exactly what CATT assumed impossible).
+    // partition — exactly what CATT assumed impossible), up to
+    // maxRows of them.
     for (const auto &[bank, victim] : ctx.findSandwiches()) {
+        if (result.hammerPasses >= maxRows)
+            break;
         const dram::HammerResult hammer =
             ctx.hammerSandwich(bank, victim);
         ++result.hammerPasses;

@@ -19,12 +19,13 @@ namespace {
 constexpr VAddr arenaBase = 0x0000'0040'0000'0000ULL;
 constexpr paging::PageFlags rwFlags{true, false, false};
 constexpr Addr noFrame = ~0ULL;
+constexpr std::uint64_t arenaPages = 1024; //!< templated arena
 
 } // namespace
 
 TemplateReport
 templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
-               std::uint64_t arena_pages, int *out_pid)
+               int *out_pid)
 {
     const int pid = kernel.createProcess("drammer");
     if (out_pid)
@@ -36,7 +37,7 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
     // run the machine out of memory mid-arena; whatever was mapped by
     // then is arena enough.
     const std::uint64_t page_bytes = kernel.pageBytes();
-    for (std::uint64_t i = 0; i < arena_pages; ++i) {
+    for (std::uint64_t i = 0; i < arenaPages; ++i) {
         const VAddr va = arenaBase + i * page_bytes;
         if (kernel.mmapAnon(pid, page_bytes, rwFlags, va) == 0)
             break;
@@ -53,8 +54,8 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
         // (those bits are per page, so one walk sets what 512 walks
         // would); the remaining slots are patterned through the
         // module directly.
-        std::vector<Addr> filled(arena_pages, noFrame);
-        for (std::uint64_t i = 0; i < arena_pages; ++i) {
+        std::vector<Addr> filled(arenaPages, noFrame);
+        for (std::uint64_t i = 0; i < arenaPages; ++i) {
             const kernel::UserAccess access = kernel.writeUser(
                 pid, arenaBase + i * page_bytes, pattern);
             if (!access)
@@ -100,7 +101,7 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
         for (auto &[frame, flips] : flips_in)
             std::sort(flips.begin(), flips.end());
 
-        for (std::uint64_t i = 0; i < arena_pages; ++i) {
+        for (std::uint64_t i = 0; i < arenaPages; ++i) {
             const VAddr page = arenaBase + i * page_bytes;
             const kernel::UserAccess head = kernel.readUser(pid, page);
             if (!head)
@@ -141,15 +142,13 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
 }
 
 AttackResult
-runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
-           std::uint64_t arena_pages)
+runDrammer(Kernel &kernel, dram::RowHammerEngine &engine)
 {
     constexpr unsigned maxTemplates = 32;
 
     AttackResult result;
     int pid = -1;
-    TemplateReport report = templateMemory(kernel, engine, arena_pages,
-                                           &pid);
+    TemplateReport report = templateMemory(kernel, engine, &pid);
     AttackerContext ctx(kernel, engine, pid);
     result.flipsInduced = report.templates.size();
     result.hammerPasses = report.hammeredRows;
@@ -158,7 +157,7 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
     const paging::Arch &arch = kernel.arch();
     const std::uint64_t page_bytes = kernel.pageBytes();
     std::map<Pfn, VAddr> frame_of;
-    for (std::uint64_t i = 0; i < arena_pages; ++i) {
+    for (std::uint64_t i = 0; i < arenaPages; ++i) {
         const VAddr va = arenaBase + i * page_bytes;
         const kernel::UserAccess access = kernel.readUser(pid, va);
         if (access)

@@ -55,22 +55,20 @@ struct TemplateReport
 };
 
 /**
- * Run only the templating phase from a fresh process over an arena
- * of @p arena_pages pages.  The arena stays mapped in @p out_pid's
- * address space.
+ * Run only the templating phase from a fresh process over a
+ * 1024-page arena.  The arena stays mapped in @p out_pid's address
+ * space.
  */
 TemplateReport templateMemory(kernel::Kernel &kernel,
                               dram::RowHammerEngine &engine,
-                              std::uint64_t arena_pages,
                               int *out_pid = nullptr);
 
 /**
- * Run the full deterministic attack: template an arena of
- * @p arena_pages pages, then try up to 32 usable templates.
+ * Run the full deterministic attack: template the arena, then try up
+ * to 32 usable templates.
  */
 AttackResult runDrammer(kernel::Kernel &kernel,
-                        dram::RowHammerEngine &engine,
-                        std::uint64_t arena_pages);
+                        dram::RowHammerEngine &engine);
 
 } // namespace ctamem::attack
 

@@ -14,9 +14,7 @@ constexpr std::array<AttackSpec, kAttackKinds> kAttacks{{
         const AttackParams &) { return runProjectZero(kernel, engine); }},
     {AttackKind::Drammer, "drammer", "Drammer templating",
      [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
-        const AttackParams &) {
-         return runDrammer(kernel, engine, 1024);
-     }},
+        const AttackParams &) { return runDrammer(kernel, engine); }},
     {AttackKind::Algorithm1, "algorithm1", "Algorithm 1 (anti-CTA)",
      [](kernel::Kernel &kernel, dram::RowHammerEngine &engine,
         const AttackParams &) {

@@ -48,11 +48,12 @@ enum class AttackKind : std::uint8_t
     UniformHammer,     //!< untimed whole-window double-sided passes
     SyncHammer,        //!< REF-synchronized pair (fixed "sync" family)
     FuzzHammer,        //!< replay the PatternFuzzer's best pattern
+    NumAttacks,        //!< not an attack: the row count of kAttacks
 };
 
-/** Rows of kAttacks: a new attack goes last and moves this bound. */
+/** Rows of kAttacks: one per attack. */
 inline constexpr std::size_t kAttackKinds =
-    static_cast<std::size_t>(AttackKind::FuzzHammer) + 1;
+    static_cast<std::size_t>(AttackKind::NumAttacks);
 
 /** Human-readable attack name (the Table-1 row heading). */
 const char *attackName(AttackKind kind);

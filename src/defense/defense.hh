@@ -38,11 +38,12 @@ enum class DefenseKind : std::uint8_t
     Anvil,        //!< performance-counter detection (observer)
     SoftTrr,      //!< software target-row refresh (observer)
     TrrSampler,   //!< in-DRAM TRR activation sampler (observer)
+    NumDefenses,  //!< not a defense: the row count of kDefenses
 };
 
-/** Rows of kDefenses: a new defense goes last and moves this bound. */
+/** Rows of kDefenses: one per defense. */
 inline constexpr std::size_t kDefenseKinds =
-    static_cast<std::size_t>(DefenseKind::TrrSampler) + 1;
+    static_cast<std::size_t>(DefenseKind::NumDefenses);
 
 /** Human-readable defense name (the Table-1 column heading). */
 const char *defenseName(DefenseKind kind);

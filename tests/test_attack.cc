@@ -80,7 +80,7 @@ TEST(Drammer, TemplatingFindsReproducibleFlips)
 {
     Kernel kernel(machineConfig(AllocPolicy::Standard));
     dram::RowHammerEngine engine(kernel.dram());
-    const TemplateReport report = templateMemory(kernel, engine, 1024);
+    const TemplateReport report = templateMemory(kernel, engine);
     EXPECT_GT(report.templates.size(), 0u);
     EXPECT_GT(report.hammeredRows, 0u);
     // Templates observed in true-cell rows under an all-ones fill
@@ -98,7 +98,7 @@ TEST(Drammer, EscalatesOnUnprotectedKernel)
 {
     Kernel kernel(machineConfig(AllocPolicy::Standard));
     dram::RowHammerEngine engine(kernel.dram());
-    const AttackResult result = runDrammer(kernel, engine, 1024);
+    const AttackResult result = runDrammer(kernel, engine);
     EXPECT_EQ(result.outcome, Outcome::Escalated) << result.detail;
 }
 
@@ -106,7 +106,7 @@ TEST(Drammer, BlockedByCta)
 {
     Kernel kernel(machineConfig(AllocPolicy::Cta));
     dram::RowHammerEngine engine(kernel.dram());
-    const AttackResult result = runDrammer(kernel, engine, 1024);
+    const AttackResult result = runDrammer(kernel, engine);
     EXPECT_NE(result.outcome, Outcome::Escalated) << result.detail;
     EXPECT_NE(result.outcome, Outcome::SelfReference);
     EXPECT_TRUE(kernel.auditTheorem().holds());

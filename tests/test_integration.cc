@@ -142,7 +142,7 @@ TEST(Drammer, FullyDeterministicRuns)
         config.dram.banks = 1;
         Kernel kernel(config);
         dram::RowHammerEngine engine(kernel.dram());
-        return attack::runDrammer(kernel, engine, 512);
+        return attack::runDrammer(kernel, engine);
     };
     const attack::AttackResult a = run();
     const attack::AttackResult b = run();
