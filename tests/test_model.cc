@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/combinatorics.hh"
@@ -16,6 +17,7 @@
 #include "model/montecarlo.hh"
 #include "model/security_model.hh"
 #include "model/tables.hh"
+#include "sim/scenarios.hh"
 
 namespace ctamem::model {
 namespace {
@@ -325,6 +327,108 @@ TEST(SecurityModel, ClosedFormHelpersMatchDefinitions)
     const double expect =
         total / (static_cast<double>(1ULL << n) - 1.0);
     EXPECT_NEAR(pExploitableUniform(params), expect, expect * 1e-12);
+}
+
+TEST(SecurityModel, NumbersArePinnedBitForBit)
+{
+    // Every Table 2/3 row, the Algorithm 1 pricing grid and the four
+    // bit-sliced Monte-Carlo estimates, as hex floats: a refactor of
+    // the model layer must reproduce each to the last bit.
+    struct Row
+    {
+        double expectedPtes;
+        double attackDays;
+    };
+    const Row table2[] = {
+        {0x1.ad3273683307p+2, 0x1.cd6c3c1ce1fbp+5},
+        {0x1.7795bb07ab026p+3, 0x1.1979b932e79e6p+6},
+        {0x1.3b10394a0ba43p-18, 0x1.cd6c3c1ce1fbp+7},
+        {0x1.d8a4672e879ddp-18, 0x1.c965ccf2b8616p+8},
+        {0x1.e2cc6ef11edc6p+2, 0x1.9af5336b43be5p+6},
+        {0x1.ad3273683307p+3, 0x1.e9cfc9548d017p+6},
+        {0x1.950a8447d727fp-18, 0x1.ce53d9d8ac362p+8},
+        {0x1.3b10394a0ba43p-17, 0x1.cb32ccbf44316p+9},
+        {0x1.0c31d6dea21b6p+3, 0x1.723953c5410fep+7},
+        {0x1.e2cc6ef11edc6p+3, 0x1.b108c09bcd452p+7},
+        {0x1.fa40381a3dda4p-18, 0x1.cec7a8b69153dp+9},
+        {0x1.950a8447d727fp-17, 0x1.cc194ca58a197p+10},
+    };
+    const Row table3[] = {
+        {0x1.4e61659d6992ep+6, 0x1.5b6c99af58d51p+2},
+        {0x1.24ba6916b12a9p+7, 0x1.8b96506337ae3p+2},
+        {0x1.7faf07198eeep-11, 0x1.cd6c3c1ce1fbp+7},
+        {0x1.1fe7e086f2397p-10, 0x1.c965ccf2b8616p+8},
+        {0x1.77fdc82a4a25ap+6, 0x1.377677cff2ab3p+3},
+        {0x1.4e61659d6992ep+7, 0x1.5bcb9687c6958p+3},
+        {0x1.ed10070bd88bfp-11, 0x1.ce53d9d8ac362p+8},
+        {0x1.7faf07198eeep-10, 0x1.cb32ccbf44316p+9},
+        {0x1.a18f92c2ccdd7p+6, 0x1.176a0eebd07fep+4},
+        {0x1.77fdc82a4a25ap+7, 0x1.3799f02f1872cp+4},
+        {0x1.3402d5cd1ea91p-10, 0x1.cec7a8b69153dp+9},
+        {0x1.ed10070bd88bfp-10, 0x1.cc194ca58a197p+10},
+    };
+    for (const auto &[rows, pins] :
+         {std::pair{makeTable2(), std::span<const Row>(table2)},
+          std::pair{makeTable3(), std::span<const Row>(table3)}}) {
+        ASSERT_EQ(rows.size(), pins.size());
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            EXPECT_EQ(rows[i].expectedPtes, pins[i].expectedPtes)
+                << "row " << i;
+            EXPECT_EQ(rows[i].attackDays, pins[i].attackDays)
+                << "row " << i;
+        }
+    }
+
+    // perPageSeconds, worstDays, avgDays per pricingGrid() point.
+    const AttackTime pricing[] = {
+        {0x1.315a73131d134p+4, 0x1.cd6c3c1ce1fbp+8, 0x1.cd6c3c1ce1fbp+5},
+        {0x1.2fe19e15295cfp+5, 0x1.c965ccf2b8616p+9, 0x1.1979b932e79e6p+6},
+        {0x1.315a73131d134p+4, 0x1.ce53d9d8ac362p+9, 0x1.9af5336b43be5p+6},
+        {0x1.2fe19e15295cfp+5, 0x1.cb32ccbf44316p+10, 0x1.e9cfc9548d017p+6},
+        {0x1.315a73131d134p+4, 0x1.cec7a8b69153dp+10, 0x1.723953c5410fep+7},
+        {0x1.2fe19e15295cfp+5, 0x1.cc194ca58a197p+11, 0x1.b108c09bcd452p+7},
+    };
+    const std::vector<sim::scenarios::PricingPoint> grid =
+        sim::scenarios::pricingGrid();
+    ASSERT_EQ(grid.size(), std::size(pricing));
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        SystemParams params;
+        params.memBytes = grid[i].memBytes;
+        params.ptpBytes = grid[i].ptpBytes;
+        const AttackTime time = expectedAttackTime(params);
+        EXPECT_EQ(time.perPageSeconds, pricing[i].perPageSeconds)
+            << "point " << i;
+        EXPECT_EQ(time.worstDays, pricing[i].worstDays) << "point " << i;
+        EXPECT_EQ(time.avgDays, pricing[i].avgDays) << "point " << i;
+    }
+
+    // mean, stderr, ess at the boosted parameters, 100k trials, the
+    // default seed: {FixedZeros, Uniform} x {Standard, IS}.
+    const McEstimate mc[] = {
+        {0x1.7acc4ef88b978p-7, 0x1.6272fe03d37cp-12, 100'000, 0x1.21p+10},
+        {0x1.7e2fb0c7b3885p-7, 0x1.83f00781f6168p-15, 100'000,
+         0x1.2fbcp+15},
+        {0x1.e2584f4c6e6dap-12, 0x1.1c67f6498b82dp-14, 100'000, 0x1.7p+5},
+        {0x1.a4dc53cd670bfp-12, 0x1.647a6b6e6ec64p-17, 100'000,
+         0x1.5fccce1a08429p+10},
+    };
+    std::size_t i = 0;
+    for (const Sampler sampler :
+         {Sampler::FixedZerosBatched, Sampler::UniformBatched}) {
+        for (const Mode mode : {Mode::Standard, Mode::ImportanceSampled}) {
+            McSpec spec;
+            spec.params = boostedParams();
+            spec.sampler = sampler;
+            spec.mode = mode;
+            spec.trials = 100'000;
+            const McEstimate estimate = runMc(spec);
+            EXPECT_EQ(estimate.mean, mc[i].mean) << "estimate " << i;
+            EXPECT_EQ(estimate.stderr, mc[i].stderr) << "estimate " << i;
+            EXPECT_EQ(estimate.trials, mc[i].trials) << "estimate " << i;
+            EXPECT_EQ(estimate.ess, mc[i].ess) << "estimate " << i;
+            ++i;
+        }
+    }
 }
 
 TEST(Capacity, WorstCase078Percent)
