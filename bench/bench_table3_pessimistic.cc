@@ -4,8 +4,7 @@
  * (Pf = 5e-4, P(0->1) = 0.5%) over the same sweep as Table 2, with a
  * thread-pool Monte-Carlo cross-check of the scaling direction: the
  * pessimistic parameters must raise the estimated exploitability of
- * every sweep cell.  `--batched` opts the cross-check into the
- * bit-sliced batched kernel.
+ * every sweep cell.
  */
 
 #include <iostream>
@@ -22,22 +21,15 @@ main(int argc, char **argv)
     using namespace ctamem;
     using namespace ctamem::model;
 
-    bool batched = false;
     std::uint64_t granule = 4 * KiB;
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--batched") {
-            batched = true;
-        } else if (std::string(argv[i]) == "--granule" &&
-                   i + 1 < argc) {
+        if (std::string(argv[i]) == "--granule" && i + 1 < argc) {
             granule = std::stoull(argv[++i]) * KiB;
         } else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--batched] [--granule KiB]\n";
+            std::cerr << "usage: " << argv[0] << " [--granule KiB]\n";
             return 2;
         }
     }
-    const Sampler sampler =
-        batched ? Sampler::FixedZerosBatched : Sampler::FixedZeros;
 
     // Paper references apply to the 4 KiB x86-64 granule only.
     printTable(std::cout,
@@ -62,7 +54,7 @@ main(int argc, char **argv)
               << pool.size() << " workers):\n";
     const std::vector<TableRow> rows = makeTable3();
     const std::vector<McSpec> base_specs =
-        mcSweepSpecs(rows, 0.02, sampler, 400'000);
+        mcSweepSpecs(rows, 0.02, Sampler::FixedZerosBatched, 400'000);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const TableRow &row = rows[i];
         const McSpec &base = base_specs[i];

@@ -27,7 +27,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
 
     // Step (1): fill ZONE_PTP with PTEs pointing at one shared page.
     const std::vector<VAddr> mappings = ctx.spray(8192, 64 * KiB, 0);
-    ctx.charge(kSprayFillCost);
+    ctx.charge(model::kSprayFillCost);
     if (mappings.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "spray failed";
@@ -49,7 +49,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
         for (Addr row = base; row < end; row += row_bytes) {
             const dram::Location loc = kernel.dram().locate(row);
             engine.hammerRow(loc.bank, loc.row);
-            ctx.charge(kHammerRowCost);
+            ctx.charge(model::kHammerRowCost);
             ++result.hammerPasses;
         }
     }
@@ -103,7 +103,7 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
     }
     result.ptesCorrupted = local.ptesCorrupted;
     result.selfReferences = local.selfReferences;
-    ctx.charge(kCheckPteCost * before.size());
+    ctx.charge(model::kCheckPteCost * before.size());
 
     if (local.selfReferences > 0) {
         auto self_ref =

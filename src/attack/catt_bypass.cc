@@ -170,7 +170,7 @@ runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
             break;
         vbuf_windows.push_back(window);
     }
-    ctx.charge(kSprayFillCost);
+    ctx.charge(model::kSprayFillCost);
 
     const auto snapshot = snapshotTables(kernel, false);
 

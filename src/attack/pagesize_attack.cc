@@ -64,7 +64,7 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
             kernel.writeUser(pid, base + slot * 8, crafted);
         }
     }
-    ctx.charge(kSprayFillCost);
+    ctx.charge(model::kSprayFillCost);
     if (large_bases.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "no large pages available";
@@ -104,7 +104,7 @@ runPageSizeAttack(Kernel &kernel, dram::RowHammerEngine &engine,
                         "PS-bit flip exposed ZONE_PTP through a "
                         "crafted large page",
                         "kernel secret read via hijacked PS bit");
-        ctx.charge(kCheckPteCost * large_bases.size() *
+        ctx.charge(model::kCheckPteCost * large_bases.size() *
                    arch.entriesPerTable());
     }
     if (!found) {

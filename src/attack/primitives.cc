@@ -82,7 +82,7 @@ AttackerContext::hammerOwnRow(VAddr vaddr)
     if (!access)
         fatal("hammerOwnRow: attacker cannot access its own page");
     const dram::Location loc = kernel_.dram().locate(access.phys);
-    charge(kHammerRowCost);
+    charge(model::kHammerRowCost);
     return engine_.hammerRow(loc.bank, loc.row);
 }
 
@@ -90,7 +90,7 @@ dram::HammerResult
 AttackerContext::hammerSandwich(std::uint64_t bank,
                                 std::uint64_t victim_row)
 {
-    charge(kHammerRowCost);
+    charge(model::kHammerRowCost);
     return engine_.hammerDoubleSided(bank, victim_row);
 }
 

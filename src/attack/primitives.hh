@@ -21,16 +21,9 @@
 #include "common/types.hh"
 #include "dram/hammer.hh"
 #include "kernel/kernel.hh"
+#include "model/security_model.hh"
 
 namespace ctamem::attack {
-
-/** @name Attack-time cost model (Section 5 measurements) */
-/** @{ */
-constexpr SimTime kSprayFillCost = 184 * milliseconds; //!< step (1)
-constexpr SimTime kHammerRowCost = 64 * milliseconds;  //!< step (2),
-                                                       //!< one refresh
-constexpr SimTime kCheckPteCost = 600; //!< step (3), one memcmp (ns)
-/** @} */
 
 /** A DRAM row the attacker can aggress, with its owned pages. */
 struct OwnedRow
@@ -59,7 +52,7 @@ class AttackerContext
      * each mapping, @p anon_pages touched anonymous pages interleave
      * aggressor frames with the table frames.  Stops early once a
      * touch fails (ZONE_PTP exhausted under CTA).  Charges nothing:
-     * callers charge kSprayFillCost where their step (1) ends.
+     * callers charge model::kSprayFillCost where their step (1) ends.
      * @return the mapping base addresses.
      */
     std::vector<VAddr> spray(unsigned mappings,

@@ -17,7 +17,7 @@ runProjectZero(kernel::Kernel &kernel, dram::RowHammerEngine &engine)
     // Step 1: spray page tables with interleaved aggressor pages.
     const std::vector<VAddr> mappings =
         ctx.spray(512, bytesPerMapping, 2);
-    ctx.charge(kSprayFillCost);
+    ctx.charge(model::kSprayFillCost);
     if (mappings.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "spray produced no mappings";
@@ -27,7 +27,7 @@ runProjectZero(kernel::Kernel &kernel, dram::RowHammerEngine &engine)
     // Steps 2+3: hammer sandwiched rows, then look for corruption.
     const auto sandwiches = ctx.findSandwiches();
     const std::uint64_t check_cost =
-        kCheckPteCost * mappings.size() *
+        model::kCheckPteCost * mappings.size() *
         (bytesPerMapping / kernel.pageBytes());
     bool suppressed_everything = true;
 

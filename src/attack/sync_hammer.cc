@@ -72,7 +72,7 @@ replayPattern(Kernel &kernel, dram::RowHammerEngine &engine,
 
     const std::vector<VAddr> mappings =
         ctx.spray(sprayMappings, bytesPerMapping, anonPagesPerMapping);
-    ctx.charge(kSprayFillCost);
+    ctx.charge(model::kSprayFillCost);
     if (mappings.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "spray produced no mappings";
@@ -96,8 +96,8 @@ replayPattern(Kernel &kernel, dram::RowHammerEngine &engine,
 
     result.hammerPasses = run.windows;
     result.flipsInduced = replay.total();
-    ctx.charge(kHammerRowCost * run.windows);
-    ctx.charge(kCheckPteCost * mappings.size() *
+    ctx.charge(model::kHammerRowCost * run.windows);
+    ctx.charge(model::kCheckPteCost * mappings.size() *
                (bytesPerMapping / kernel.pageBytes()));
     result.detail = std::move(detail);
 
@@ -120,7 +120,7 @@ runUniformHammer(Kernel &kernel, dram::RowHammerEngine &engine,
 
     const std::vector<VAddr> mappings =
         ctx.spray(sprayMappings, bytesPerMapping, anonPagesPerMapping);
-    ctx.charge(kSprayFillCost);
+    ctx.charge(model::kSprayFillCost);
     if (mappings.empty()) {
         result.outcome = Outcome::Blocked;
         result.detail = "spray produced no mappings";

@@ -199,7 +199,7 @@ class Rng
      * fraction >= p, i.e. 0 — so e.g. p = 1/2 costs exactly one word.
      * The number of words consumed depends only on p, @p lanes, and
      * the stream itself, so the draw sequence stays a pure function
-     * of the seed (the batched samplers' determinism contract).
+     * of the seed (the Monte-Carlo kernel's determinism contract).
      *
      * Exact for p quantized to a 64-bit fraction: P(bit set) is
      * round-to-nearest of p * 2^64, an error of at most 2^-65 — far
@@ -234,9 +234,8 @@ class Rng
      * Uniform integer in [0, bound) via multiply-shift (Lemire),
      * rejecting only inside the narrow boundary window — branch-free
      * on the overwhelmingly common path.  Consumes a different word
-     * count than below() for the same stream, so it is reserved for
-     * the *batched* samplers; below() keeps the exact draw sequence
-     * the scalar samplers' golden outputs depend on.
+     * count than below() for the same stream, so below()'s callers
+     * keep their draw sequences; the Monte-Carlo kernel uses this.
      * @pre bound > 0.
      */
     std::uint64_t

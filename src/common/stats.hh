@@ -1,14 +1,13 @@
 /**
  * @file
- * Lightweight statistics collection: named counters and a streaming
- * mean/variance accumulator.  Every subsystem exposes its observable
- * behaviour through these so tests and benches can assert on it.
+ * Lightweight statistics collection: named event counters.  Every
+ * subsystem exposes its observable behaviour through these so tests
+ * and benches can assert on it.
  */
 
 #ifndef CTAMEM_COMMON_STATS_HH
 #define CTAMEM_COMMON_STATS_HH
 
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -27,69 +26,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/**
- * Streaming mean/variance accumulator (Welford), mergeable with
- * Chan's parallel-combine rule.  It never forms sum-of-squares, so
- * merging partial chunks is numerically stable;
- * the parallel Monte-Carlo runner folds per-chunk accumulators in
- * chunk-index order to get bit-identical results at any thread count.
- */
-class MomentAccumulator
-{
-  public:
-    void
-    record(double x)
-    {
-        ++count_;
-        const double delta = x - mean_;
-        mean_ += delta / static_cast<double>(count_);
-        m2_ += delta * (x - mean_);
-    }
-
-    /** Fold another accumulator into this one (Chan et al.). */
-    void
-    merge(const MomentAccumulator &other)
-    {
-        if (other.count_ == 0)
-            return;
-        if (count_ == 0) {
-            *this = other;
-            return;
-        }
-        const double na = static_cast<double>(count_);
-        const double nb = static_cast<double>(other.count_);
-        const double delta = other.mean_ - mean_;
-        count_ += other.count_;
-        const double total = static_cast<double>(count_);
-        mean_ += delta * (nb / total);
-        m2_ += other.m2_ + delta * delta * (na * nb / total);
-    }
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return mean_; }
-
-    /** Population variance (M2 / n). */
-    double
-    variance() const
-    {
-        return count_ ? m2_ / static_cast<double>(count_) : 0.0;
-    }
-
-    /** Standard error of the mean. */
-    double
-    stderrOfMean() const
-    {
-        return count_ ? std::sqrt(variance() /
-                                  static_cast<double>(count_))
-                      : 0.0;
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
 };
 
 /** Handle to one interned counter of a StatGroup. */

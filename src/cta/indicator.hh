@@ -6,9 +6,10 @@
  * bits that must all be '1' for the address to lie in ZONE_PTP, where
  * n = log2(memory size / ZONE_PTP size).  The security analysis of
  * Section 5 is entirely a statement about how many indicator bits an
- * attacker must flip upward — this class is the shared vocabulary
- * between the zone builder, the allocator restriction, and the
- * analytic model.
+ * attacker must flip upward.  The allocator restriction
+ * (ZONE_KERNEL_RSV in buildCtaPlan) reads indicator values through
+ * this class; the analytic model computes the same width itself, as
+ * model::SystemParams::indicatorBits().
  */
 
 #ifndef CTAMEM_CTA_INDICATOR_HH

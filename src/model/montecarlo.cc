@@ -7,93 +7,36 @@
 
 #include "common/bitops.hh"
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "runtime/thread_pool.hh"
 
 namespace ctamem::model {
 
 namespace {
 
-/** Flip probabilities shared by every trial of one spec. */
-struct TrialSetup
-{
-    explicit TrialSetup(const SystemParams &params)
-        : n(params.indicatorBits()),
-          pUp(params.errors.upFlipProb(params.zoneCells)),
-          pDown(params.errors.downFlipProb(params.zoneCells)),
-          allOnes((1ULL << n) - 1)
-    {}
-
-    unsigned n;
-    double pUp;
-    double pDown;
-    std::uint64_t allOnes;
-};
-
-bool
-fixedZerosTrial(Rng &rng, const TrialSetup &setup, unsigned zeros,
-                std::vector<unsigned> &positions)
-{
-    // Choose which indicator bits are zero (Fisher-Yates prefix).
-    for (unsigned i = 0; i < setup.n; ++i)
-        positions[i] = i;
-    for (unsigned i = 0; i < zeros; ++i) {
-        const unsigned j =
-            i + static_cast<unsigned>(rng.below(setup.n - i));
-        std::swap(positions[i], positions[j]);
-    }
-    bool exploitable = true;
-    for (unsigned i = 0; i < setup.n && exploitable; ++i) {
-        if (i < zeros)
-            exploitable = rng.chance(setup.pUp);    // must flip up
-        else
-            exploitable = !rng.chance(setup.pDown); // must hold
-    }
-    return exploitable;
-}
-
-bool
-uniformTrial(Rng &rng, const TrialSetup &setup)
-{
-    // Uniform pointer below the low water mark: its indicator is
-    // uniform over [0, 2^n - 1) (the all-ones value IS the zone).
-    const std::uint64_t indicator = rng.below(setup.allOnes);
-    std::uint64_t value = indicator;
-    for (unsigned bit = 0; bit < setup.n; ++bit) {
-        const bool set = (value >> bit) & 1;
-        if (!set && rng.chance(setup.pUp))
-            value |= 1ULL << bit;
-        else if (set && rng.chance(setup.pDown))
-            value &= ~(1ULL << bit);
-    }
-    return value == setup.allOnes;
-}
-
 // ---------------------------------------------------------------
-// Bit-sliced batched kernel.
+// Bit-sliced kernel.
 //
 // Trials run in blocks of 64 lanes.  For each indicator bit the flip
 // outcome across the whole block is one Bernoulli mask, so a block's
 // verdict ("value == allOnes" per lane) collapses to an AND-reduce
 // over ~n words and a popcount.  Importance sampling reuses the same
-// kernel: flips are drawn at tilted probabilities (qUp, qDown) and
-// each hit contributes its likelihood ratio instead of 1 — Standard
-// mode is the identity tilt, where every weight is exactly 1.
+// kernel: up-flips are drawn at a tilted probability qUp and each hit
+// contributes its likelihood ratio instead of 1 — Standard mode is
+// the identity tilt, where every weight is exactly 1.
 // ---------------------------------------------------------------
 
-/** Per-chunk tallies of the batched kernel.  Summed in chunk-index
- *  order, so the fold is exact in the integer fields and performed
- *  in a fixed double-addition order — bit-identical at any thread
- *  count. */
-struct BatchTally
+/** Per-chunk tallies.  Summed in chunk-index order, so the fold is
+ *  exact in the integer fields and performed in a fixed
+ *  double-addition order — bit-identical at any thread count. */
+struct Tally
 {
     std::uint64_t trials = 0;
     std::uint64_t hits = 0;
-    double sumW = 0.0;  //!< sum of hit weights (== hits, untitled)
+    double sumW = 0.0;  //!< sum of hit weights (== hits, untilted)
     double sumW2 = 0.0; //!< sum of squared hit weights
 
     void
-    merge(const BatchTally &other)
+    merge(const Tally &other)
     {
         trials += other.trials;
         hits += other.hits;
@@ -102,45 +45,39 @@ struct BatchTally
     }
 };
 
-/** Sampling probabilities and likelihood-ratio weights of one spec. */
-struct BatchSetup
+/** Flip probabilities and likelihood-ratio weights of one spec. */
+struct KernelSetup
 {
-    BatchSetup(const McSpec &spec)
-        : base(spec.params)
+    explicit KernelSetup(const McSpec &spec)
+        : n(spec.params.indicatorBits()),
+          pUp(spec.params.errors.upFlipProb(spec.params.zoneCells)),
+          pDown(spec.params.errors.downFlipProb(spec.params.zoneCells)),
+          allOnes((1ULL << n) - 1)
     {
-        if (spec.mode == Mode::ImportanceSampled) {
-            qUp = spec.tiltUp > 0.0
-                      ? spec.tiltUp
-                      : std::max(base.pUp, 0.5);
-            qDown = spec.tiltDown > 0.0 ? spec.tiltDown : base.pDown;
-        } else {
-            qUp = base.pUp;
-            qDown = base.pDown;
-        }
+        // Importance sampling tilts up-flips to at least 1/2 so hits
+        // are common; down-flips stay untilted.
+        qUp = spec.mode == Mode::ImportanceSampled ? std::max(pUp, 0.5)
+                                                   : pUp;
         // FixedZeros hold masks collapse to one draw: the AND of
-        // n - zeros independent Bernoulli(1 - qDown) masks is itself
-        // Bernoulli((1 - qDown)^(n - zeros)) per lane.
-        qHoldAll = std::pow(1.0 - qDown,
-                            static_cast<int>(base.n - spec.zeros));
-        identityWeights =
-            qUp == base.pUp && qDown == base.pDown;
-        // A hit with z indicator zeros saw z up-flips succeed and
-        // n - z holds succeed; its likelihood ratio factorizes as
-        // (pUp/qUp)^z * ((1-pDown)/(1-qDown))^(n-z).
-        const double w_up = qUp > 0.0 ? base.pUp / qUp : 0.0;
-        const double w_hold =
-            qDown < 1.0 ? (1.0 - base.pDown) / (1.0 - qDown) : 0.0;
-        weightByZeros.resize(base.n + 1);
-        for (unsigned z = 0; z <= base.n; ++z) {
-            weightByZeros[z] =
-                std::pow(w_up, z) *
-                std::pow(w_hold, base.n - z);
-        }
+        // n - zeros independent Bernoulli(1 - pDown) masks is itself
+        // Bernoulli((1 - pDown)^(n - zeros)) per lane.
+        qHoldAll =
+            std::pow(1.0 - pDown, static_cast<int>(n - spec.zeros));
+        identityWeights = qUp == pUp;
+        // A hit with z indicator zeros saw z up-flips succeed, each
+        // drawn at qUp instead of pUp: its likelihood ratio is
+        // (pUp/qUp)^z.
+        const double w_up = qUp > 0.0 ? pUp / qUp : 0.0;
+        weightByZeros.resize(n + 1);
+        for (unsigned z = 0; z <= n; ++z)
+            weightByZeros[z] = std::pow(w_up, z);
     }
 
-    TrialSetup base;
+    unsigned n;
+    double pUp;
+    double pDown;
+    std::uint64_t allOnes;
     double qUp;
-    double qDown;
     /** P(no down-flip in any of the n - zeros held bits). */
     double qHoldAll;
     bool identityWeights;
@@ -152,8 +89,7 @@ struct BatchSetup
  *  one shared weight — the FixedZeros case, and any case where all
  *  hits in the block weigh the same. */
 void
-tallyUniformWeight(std::uint64_t hits_mask, double weight,
-                   BatchTally &tally)
+tallyUniformWeight(std::uint64_t hits_mask, double weight, Tally &tally)
 {
     const unsigned h = popcount(hits_mask);
     tally.hits += h;
@@ -169,8 +105,8 @@ tallyUniformWeight(std::uint64_t hits_mask, double weight,
  * the holds collapsed into a single qHoldAll mask.
  */
 void
-fixedZerosBlock(Rng &rng, const BatchSetup &setup, unsigned zeros,
-                std::uint64_t lane_mask, BatchTally &tally)
+fixedZerosBlock(Rng &rng, const KernelSetup &setup, unsigned zeros,
+                std::uint64_t lane_mask, Tally &tally)
 {
     // Each mask is restricted to the lanes still in play, so after
     // the first up mask kills most of the block the remaining draws
@@ -187,14 +123,14 @@ fixedZerosBlock(Rng &rng, const BatchSetup &setup, unsigned zeros,
 /**
  * One 64-lane block of Uniform trials.  ind[b] holds indicator bit b
  * of every lane; lanes that draw the all-ones indicator (the zone
- * itself) are redrawn scalar-wise from nextBounded, preserving the
- * uniform-below-allOnes distribution of the scalar sampler.
+ * itself) are redrawn from nextBounded, so every lane's indicator is
+ * uniform over [0, 2^n - 1).
  */
 void
-uniformBlock(Rng &rng, const BatchSetup &setup,
-             std::uint64_t lane_mask, BatchTally &tally)
+uniformBlock(Rng &rng, const KernelSetup &setup, std::uint64_t lane_mask,
+             Tally &tally)
 {
-    const unsigned n = setup.base.n;
+    const unsigned n = setup.n;
     std::uint64_t ind[64];
     for (unsigned b = 0; b < n; ++b)
         ind[b] = rng.next();
@@ -206,8 +142,7 @@ uniformBlock(Rng &rng, const BatchSetup &setup,
         const unsigned lane =
             static_cast<unsigned>(std::countr_zero(all_ones));
         all_ones &= all_ones - 1;
-        const std::uint64_t redraw =
-            rng.nextBounded(setup.base.allOnes);
+        const std::uint64_t redraw = rng.nextBounded(setup.allOnes);
         for (unsigned b = 0; b < n; ++b) {
             ind[b] = (ind[b] & ~(1ULL << lane)) |
                      (((redraw >> b) & 1ULL) << lane);
@@ -219,7 +154,7 @@ uniformBlock(Rng &rng, const BatchSetup &setup,
         // Flip masks narrowed to the lanes still in play; dead lanes
         // get 0 bits, which the AND below ignores.
         const std::uint64_t up = rng.bernoulliMask(setup.qUp, hits);
-        const std::uint64_t down = rng.bernoulliMask(setup.qDown, hits);
+        const std::uint64_t down = rng.bernoulliMask(setup.pDown, hits);
         // Post-flip value of bit b, lane-parallel.
         hits &= (ind[b] & ~down) | (~ind[b] & up);
     }
@@ -244,14 +179,18 @@ uniformBlock(Rng &rng, const BatchSetup &setup,
     }
 }
 
-/** Run one seeding chunk of a batched spec (64-lane blocks; the
- *  ragged tail masks out the dead lanes). */
-BatchTally
-runBatchedChunk(const McSpec &spec, const BatchSetup &setup,
-                std::uint64_t chunkIndex, std::uint64_t trials)
+/**
+ * Run one seeding chunk (64-lane blocks; the ragged tail masks out
+ * the dead lanes).  The chunk's Rng is derived from
+ * (seed, chunkIndex) alone, so chunks are independent of execution
+ * order and of each other.
+ */
+Tally
+runChunk(const McSpec &spec, const KernelSetup &setup,
+         std::uint64_t chunkIndex, std::uint64_t trials)
 {
     Rng rng(deriveSeed(spec.seed, chunkIndex));
-    BatchTally tally;
+    Tally tally;
     for (std::uint64_t done = 0; done < trials; done += 64) {
         const std::uint64_t live =
             std::min<std::uint64_t>(64, trials - done);
@@ -267,10 +206,10 @@ runBatchedChunk(const McSpec &spec, const BatchSetup &setup,
 
 /** Index-ordered fold of per-chunk tallies into the estimate. */
 McEstimate
-summarizeBatched(const std::vector<BatchTally> &chunks)
+summarize(const std::vector<Tally> &chunks)
 {
-    BatchTally total;
-    for (const BatchTally &chunk : chunks)
+    Tally total;
+    for (const Tally &chunk : chunks)
         total.merge(chunk);
     const double m = static_cast<double>(total.trials);
     const double mean = total.sumW / m;
@@ -288,100 +227,27 @@ summarizeBatched(const std::vector<BatchTally> &chunks)
     return estimate;
 }
 
-/** Trials covered by chunk @p index of the spec. */
-std::uint64_t
-chunkTrials(const McSpec &spec, std::uint64_t index,
-            std::uint64_t chunks)
-{
-    if (index + 1 < chunks)
-        return spec.chunkSize;
-    return spec.trials - spec.chunkSize * (chunks - 1);
-}
-
-/**
- * Run one seeding chunk.  The chunk's Rng is derived from
- * (seed, chunkIndex) alone, so chunks are independent of execution
- * order and of each other.
- */
-MomentAccumulator
-runChunk(const McSpec &spec, std::uint64_t chunkIndex,
-         std::uint64_t trials)
-{
-    const TrialSetup setup(spec.params);
-    Rng rng(deriveSeed(spec.seed, chunkIndex));
-    MomentAccumulator moments;
-    std::vector<unsigned> positions(setup.n);
-    for (std::uint64_t trial = 0; trial < trials; ++trial) {
-        bool hit = false;
-        switch (spec.sampler) {
-          case Sampler::FixedZeros:
-            hit = fixedZerosTrial(rng, setup, spec.zeros, positions);
-            break;
-          case Sampler::Uniform:
-            hit = uniformTrial(rng, setup);
-            break;
-          case Sampler::FixedZerosBatched:
-          case Sampler::UniformBatched:
-            fatal("runChunk: batched sampler on the scalar path");
-        }
-        moments.record(hit ? 1.0 : 0.0);
-    }
-    return moments;
-}
-
-void
-validate(const McSpec &spec)
+/** Serial when @p pool is null; chunks are independent either way. */
+McEstimate
+run(const McSpec &spec, runtime::ThreadPool *pool)
 {
     if (spec.trials == 0)
         fatal("runMc: zero trials");
     if (spec.chunkSize == 0)
         fatal("runMc: zero chunkSize");
-    if ((spec.sampler == Sampler::FixedZeros ||
-         spec.sampler == Sampler::FixedZerosBatched) &&
+    if (spec.sampler == Sampler::FixedZerosBatched &&
         spec.zeros > spec.params.indicatorBits())
         fatal("runMc: zeros > indicator bits");
-    if (spec.mode == Mode::ImportanceSampled &&
-        !isBatched(spec.sampler))
-        fatal("runMc: importance sampling requires a batched "
-              "sampler");
-    if (spec.tiltUp < 0.0 || spec.tiltUp > 1.0 ||
-        spec.tiltDown < 0.0 || spec.tiltDown > 1.0)
-        fatal("runMc: tilt probabilities outside [0, 1]");
-}
 
-std::uint64_t
-chunkCount(const McSpec &spec)
-{
-    return (spec.trials + spec.chunkSize - 1) / spec.chunkSize;
-}
-
-/** Index-ordered fold of per-chunk moments into the estimate. */
-McEstimate
-summarize(const std::vector<MomentAccumulator> &chunks)
-{
-    MomentAccumulator total;
-    for (const MomentAccumulator &chunk : chunks)
-        total.merge(chunk);
-    McEstimate estimate{total.mean(), total.stderrOfMean(),
-                        total.count()};
-    // For 0/1 samples the hit count is mean * n, recovered exactly
-    // enough for an effective-sample-size report.
-    estimate.ess =
-        total.mean() * static_cast<double>(total.count());
-    return estimate;
-}
-
-/** Batched kernel, serial or on @p pool (chunks are independent). */
-McEstimate
-runBatched(const McSpec &spec, runtime::ThreadPool *pool)
-{
-    const BatchSetup setup(spec);
-    const std::uint64_t chunks = chunkCount(spec);
-    std::vector<BatchTally> partial(chunks);
+    const KernelSetup setup(spec);
+    const std::uint64_t chunks =
+        (spec.trials + spec.chunkSize - 1) / spec.chunkSize;
+    std::vector<Tally> partial(chunks);
     auto one = [&](std::uint64_t i) {
-        partial[i] =
-            runBatchedChunk(spec, setup, i,
-                            chunkTrials(spec, i, chunks));
+        const std::uint64_t trials =
+            i + 1 < chunks ? spec.chunkSize
+                           : spec.trials - spec.chunkSize * (chunks - 1);
+        partial[i] = runChunk(spec, setup, i, trials);
     };
     if (pool) {
         // Each chunk writes only its own slot; the fold walks slots
@@ -391,7 +257,7 @@ runBatched(const McSpec &spec, runtime::ThreadPool *pool)
         for (std::uint64_t i = 0; i < chunks; ++i)
             one(i);
     }
-    return summarizeBatched(partial);
+    return summarize(partial);
 }
 
 } // namespace
@@ -399,30 +265,13 @@ runBatched(const McSpec &spec, runtime::ThreadPool *pool)
 McEstimate
 runMc(const McSpec &spec)
 {
-    validate(spec);
-    if (isBatched(spec.sampler))
-        return runBatched(spec, nullptr);
-    const std::uint64_t chunks = chunkCount(spec);
-    std::vector<MomentAccumulator> partial(chunks);
-    for (std::uint64_t i = 0; i < chunks; ++i)
-        partial[i] = runChunk(spec, i, chunkTrials(spec, i, chunks));
-    return summarize(partial);
+    return run(spec, nullptr);
 }
 
 McEstimate
 runMc(const McSpec &spec, runtime::ThreadPool &pool)
 {
-    validate(spec);
-    if (isBatched(spec.sampler))
-        return runBatched(spec, &pool);
-    const std::uint64_t chunks = chunkCount(spec);
-    std::vector<MomentAccumulator> partial(chunks);
-    // Each chunk writes only its own slot; the fold below walks the
-    // slots in index order, so thread count cannot affect the result.
-    pool.parallelFor(0, chunks, [&](std::uint64_t i) {
-        partial[i] = runChunk(spec, i, chunkTrials(spec, i, chunks));
-    }, /*grain=*/1);
-    return summarize(partial);
+    return run(spec, &pool);
 }
 
 } // namespace ctamem::model

@@ -49,7 +49,7 @@ pExploitableExactZeros(const SystemParams &params, unsigned zeros)
     const double p_up = params.errors.upFlipProb(params.zoneCells);
     const double p_down = params.errors.downFlipProb(params.zoneCells);
     // binomialTerm folds in the C(n, i) content choices the
-    // FixedZeros samplers average over symmetrically; divide it back
+    // FixedZeros sampler averages over symmetrically; divide it back
     // out to get the per-content probability, all in log space.
     return binomialTerm(n, zeros, p_up, p_down) / choose(n, zeros);
 }
@@ -83,15 +83,18 @@ vulnerableSystemFraction(const SystemParams &params)
 }
 
 AttackTime
-expectedAttackTime(const SystemParams &params, const AttackCosts &costs)
+expectedAttackTime(const SystemParams &params)
 {
+    const auto in_seconds = [](SimTime t) {
+        return static_cast<double>(t) / static_cast<double>(seconds);
+    };
     AttackTime result;
     result.perPageSeconds =
-        costs.fillSeconds +
+        in_seconds(kSprayFillCost) +
         static_cast<double>(params.ptpRows()) *
-            (costs.hammerSeconds +
+            (in_seconds(kHammerRowCost) +
              static_cast<double>(params.ptesPerRow()) *
-                 costs.checkSeconds);
+                 in_seconds(kCheckPteCost));
 
     constexpr double seconds_per_day = 86400.0;
     const double worst_seconds =

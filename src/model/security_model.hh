@@ -11,7 +11,7 @@
  * anti-cell ablation swaps the dominant direction).  The expected
  * number of exploitable PTE locations multiplies by the PTE capacity
  * of ZONE_PTP; the attack-time model prices the Algorithm 1 loop with
- * the paper's measured per-step costs.
+ * the paper's measured per-step costs, declared here once.
  */
 
 #ifndef CTAMEM_MODEL_SECURITY_MODEL_HH
@@ -75,13 +75,17 @@ struct SystemParams
     std::uint64_t ptesPerRow() const { return rowBytes / 8; }
 };
 
-/** Per-step costs of Algorithm 1 (Section 5 measurements). */
-struct AttackCosts
-{
-    double fillSeconds = 0.184;       //!< step (1) per target page
-    double hammerSeconds = 0.064;     //!< step (2) per row (refresh)
-    double checkSeconds = 600e-9;     //!< step (3) per PTE
-};
+/**
+ * @name Algorithm 1 step costs (Section 5 measurements)
+ * expectedAttackTime() prices the full-scale attack with them, and
+ * every executable attack charges them to its simulated clock.
+ */
+/** @{ */
+constexpr SimTime kSprayFillCost = 184 * milliseconds; //!< step (1)
+constexpr SimTime kHammerRowCost = 64 * milliseconds;  //!< step (2),
+                                                       //!< one refresh
+constexpr SimTime kCheckPteCost = 600; //!< step (3), one memcmp (ns)
+/** @} */
 
 /** Probability one PTE location becomes exploitable. */
 double pExploitable(const SystemParams &params);
@@ -90,7 +94,7 @@ double pExploitable(const SystemParams &params);
  * Probability a PTE whose indicator carries *exactly* @p zeros zero
  * bits is exploitable: every zero must flip up and every one must
  * hold.  pUp^zeros * (1 - pDown)^(n - zeros), evaluated in log space
- * — the single-content term the FixedZeros samplers estimate.
+ * — the single-content term Sampler::FixedZerosBatched estimates.
  * @pre zeros <= indicatorBits().
  */
 double pExploitableExactZeros(const SystemParams &params,
@@ -99,8 +103,8 @@ double pExploitableExactZeros(const SystemParams &params,
 /**
  * Probability a *uniform* pointer below the low water mark (indicator
  * uniform over [0, 2^n - 1)) is exploitable:
- * [(pUp + 1 - pDown)^n - (1 - pDown)^n] / (2^n - 1) — what the
- * Uniform samplers estimate.
+ * [(pUp + 1 - pDown)^n - (1 - pDown)^n] / (2^n - 1) — what
+ * Sampler::UniformBatched estimates.
  */
 double pExploitableUniform(const SystemParams &params);
 
@@ -127,8 +131,7 @@ struct AttackTime
  * for the restricted case (conditioned on the rare vulnerable
  * system having exactly one exploitable location).
  */
-AttackTime expectedAttackTime(const SystemParams &params,
-                              const AttackCosts &costs = {});
+AttackTime expectedAttackTime(const SystemParams &params);
 
 } // namespace ctamem::model
 

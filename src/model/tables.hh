@@ -67,7 +67,7 @@ void printTable(std::ostream &os, const std::string &title,
  * row at boosted probabilities (@p pf with the fixed 0.3/0.7 flip
  * split — the production probabilities need ~1e9 trials to see one
  * event), restricted rows sampling two zeros.  @p sampler selects
- * the scalar reference path or the bit-sliced batched kernel.
+ * the spray-content distribution.
  */
 std::vector<McSpec> mcSweepSpecs(const std::vector<TableRow> &rows,
                                  double pf, Sampler sampler,

@@ -241,26 +241,6 @@ TEST(Stats, StatGroup)
     EXPECT_EQ(g.value("a"), 0u);
 }
 
-TEST(Stats, SampleStatWelfordStability)
-{
-    // Classic catastrophic-cancellation case: tiny spread on a huge
-    // offset.  The naive sum-of-squares form loses every significant
-    // digit; Welford keeps them, which the Monte-Carlo runner's
-    // per-chunk accumulators rely on.
-    MomentAccumulator s;
-    const double offset = 1e9;
-    for (double x : {offset - 1.0, offset, offset + 1.0})
-        s.record(x);
-    EXPECT_NEAR(s.variance(), 2.0 / 3.0, 1e-6);
-    EXPECT_DOUBLE_EQ(s.mean(), offset);
-    EXPECT_EQ(s.count(), 3u);
-
-    s = MomentAccumulator{};
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.stderrOfMean(), 0.0);
-}
-
 TEST(Stats, StatGroupHandles)
 {
     StatGroup g;

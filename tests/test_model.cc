@@ -138,28 +138,6 @@ TEST(Table3, RestrictedTimesMatchTable2)
     }
 }
 
-TEST(MonteCarlo, FixedZerosMatchesClosedFormTerm)
-{
-    // Boosted probabilities so 200k trials see plenty of events.
-    SystemParams params = paperBaseline();
-    params.errors.pf = 0.05;
-    params.errors.p01True = 0.3;
-    params.errors.p10True = 0.7;
-
-    const unsigned n = params.indicatorBits();
-    for (unsigned zeros : {1u, 2u}) {
-        const double p_up = params.errors.upFlipProbTrue();
-        const double p_down = params.errors.downFlipProbTrue();
-        const double analytic =
-            std::pow(p_up, zeros) *
-            std::pow(1.0 - p_down, n - zeros);
-        const McEstimate mc = runMc(
-            McSpec{.params = params, .zeros = zeros, .trials = 400'000});
-        EXPECT_NEAR(mc.mean, analytic, 5 * mc.stderr + 1e-9)
-            << "zeros=" << zeros;
-    }
-}
-
 TEST(MonteCarlo, UniformPointerIsBelowPaperFormula)
 {
     SystemParams params = paperBaseline();
@@ -167,7 +145,8 @@ TEST(MonteCarlo, UniformPointerIsBelowPaperFormula)
     params.errors.p01True = 0.3;
     params.errors.p10True = 0.7;
     const McEstimate mc = runMc(McSpec{
-        .params = params, .sampler = Sampler::Uniform, .trials = 200'000});
+        .params = params, .sampler = Sampler::UniformBatched,
+        .trials = 200'000});
     // The paper's formula assumes attacker-optimal spray content, so
     // it must upper-bound the uniform-content estimate.
     EXPECT_LT(mc.mean, pExploitable(params));
@@ -194,31 +173,6 @@ boostedParams()
     params.errors.p01True = 0.3;
     params.errors.p10True = 0.7;
     return params;
-}
-
-TEST(MonteCarloBatched, AgreesWithScalarWithin4Sigma)
-{
-    // Scalar and batched draw different streams from the same seed,
-    // so they agree statistically, not bit-wise: the two independent
-    // estimates of the same probability differ by at most 4 combined
-    // sigma.
-    McSpec scalar;
-    scalar.params = boostedParams();
-    scalar.zeros = 1;
-    scalar.trials = 400'000;
-    for (const auto [ref, batched] :
-         {std::pair{Sampler::FixedZeros, Sampler::FixedZerosBatched},
-          std::pair{Sampler::Uniform, Sampler::UniformBatched}}) {
-        scalar.sampler = ref;
-        McSpec fast = scalar;
-        fast.sampler = batched;
-        const McEstimate a = runMc(scalar);
-        const McEstimate b = runMc(fast);
-        const double sigma =
-            std::sqrt(a.stderr * a.stderr + b.stderr * b.stderr);
-        EXPECT_NEAR(a.mean, b.mean, 4 * sigma + 1e-12)
-            << "sampler pair " << static_cast<int>(ref);
-    }
 }
 
 TEST(MonteCarloBatched, FixedZerosMatchesClosedForm)

@@ -123,34 +123,6 @@ boostedSpec()
     return spec;
 }
 
-TEST(RunMc, BitIdenticalAcrossThreadCounts)
-{
-    const McSpec spec = boostedSpec();
-    const McEstimate serial = model::runMc(spec);
-    EXPECT_EQ(serial.trials, spec.trials);
-    for (const unsigned threads : {1u, 4u, 8u}) {
-        ThreadPool pool(threads);
-        const McEstimate parallel = model::runMc(spec, pool);
-        EXPECT_EQ(serial.mean, parallel.mean)
-            << threads << " threads";
-        EXPECT_EQ(serial.stderr, parallel.stderr)
-            << threads << " threads";
-        EXPECT_EQ(serial.trials, parallel.trials);
-    }
-}
-
-TEST(RunMc, UniformSamplerAlsoDeterministic)
-{
-    McSpec spec = boostedSpec();
-    spec.sampler = model::Sampler::Uniform;
-    spec.trials = 50'000;
-    const McEstimate serial = model::runMc(spec);
-    ThreadPool pool(6);
-    const McEstimate parallel = model::runMc(spec, pool);
-    EXPECT_EQ(serial.mean, parallel.mean);
-    EXPECT_EQ(serial.stderr, parallel.stderr);
-}
-
 TEST(RunMc, BatchedBitIdenticalAcrossThreadCounts)
 {
     // The batched kernel inherits the chunk-seeding contract: the
@@ -207,17 +179,6 @@ TEST(RunMc, BatchedRaggedChunksCountAllTrials)
     const McEstimate parallel = model::runMc(spec, pool);
     EXPECT_EQ(parallel.trials, 10'001u);
     EXPECT_EQ(serial.mean, parallel.mean);
-}
-
-TEST(RunMc, RaggedLastChunkCountsAllTrials)
-{
-    McSpec spec = boostedSpec();
-    spec.trials = 10'001; // not a multiple of chunkSize
-    spec.chunkSize = 1'000;
-    const McEstimate serial = model::runMc(spec);
-    EXPECT_EQ(serial.trials, 10'001u);
-    ThreadPool pool(4);
-    EXPECT_EQ(model::runMc(spec, pool).mean, serial.mean);
 }
 
 TEST(Campaign, CellsMatchSerialMachineRunners)
