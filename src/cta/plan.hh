@@ -41,9 +41,6 @@ namespace ctamem::cta {
 /**
  * Materialized result of the ZONE_PTP layout scan: everything the
  * scan derives from the module's cell map, in plain data form.
- * Snapshots carry one of these so a restored machine can rebuild the
- * zone without re-walking rows or re-screening PS-bit cells — the
- * expensive part of a CTA boot.
  */
 struct PtpLayout
 {
@@ -61,8 +58,6 @@ struct PtpLayout
     /** Frames per partition: [1] is the shared zone (or the level-1
      *  partition), [2..4] the upper levels' under multi-level zoning. */
     std::array<std::vector<mm::FrameSpan>, 5> levelSpans;
-
-    bool operator==(const PtpLayout &) const = default;
 };
 
 /**

@@ -66,12 +66,6 @@ class ObserverDefense : public dram::DisturbanceObserver
     /** Mitigation events (victim refreshes) performed. */
     std::uint64_t mitigations() const { return mitigations_; }
 
-    /**
-     * Energy/overhead proxy: extra row refreshes issued relative to
-     * the baseline refresh schedule.
-     */
-    virtual double overheadFactor() const = 0;
-
     /** @name RNG state capture (machine snapshots)
      *
      * Stochastic observers (PARA, refresh boosting) expose their

@@ -34,13 +34,6 @@ class ParaObserver : public ObserverDefense
 
     bool onHammer(const dram::DisturbanceEvent &event) override;
 
-    double
-    overheadFactor() const override
-    {
-        // Two extra neighbour refreshes per activation with prob p.
-        return 2.0 * probability_;
-    }
-
     std::vector<std::uint64_t> rngState() const override;
     void setRngState(const std::vector<std::uint64_t> &state) override;
 
@@ -68,12 +61,6 @@ class RefreshBoostObserver : public ObserverDefense
     const char *name() const override { return "RefreshBoost"; }
 
     bool onHammer(const dram::DisturbanceEvent &event) override;
-
-    double
-    overheadFactor() const override
-    {
-        return static_cast<double>(factor_);
-    }
 
     std::vector<std::uint64_t> rngState() const override;
     void setRngState(const std::vector<std::uint64_t> &state) override;
@@ -110,13 +97,6 @@ class AnvilObserver : public ObserverDefense
     bool triggered() const { return detections_ > 0; }
     std::uint64_t detections() const { return detections_; }
     std::uint64_t falsePositives() const { return falsePositives_; }
-
-    double
-    overheadFactor() const override
-    {
-        // Counter sampling overhead, small constant per the paper.
-        return 0.01;
-    }
 
   private:
     bool observe(std::uint64_t bank, std::uint64_t row,

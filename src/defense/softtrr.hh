@@ -53,14 +53,6 @@ class SoftTrrObserver : public ObserverDefense
     /** Counter slots recycled because the table was full. */
     std::uint64_t evictions() const { return evictions_; }
 
-    double
-    overheadFactor() const override
-    {
-        // PMU sampling + occasional victim re-reads; the paper
-        // measures ~1% on PTE-heavy workloads.
-        return 0.01;
-    }
-
   private:
     struct Slot
     {

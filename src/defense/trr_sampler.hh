@@ -58,14 +58,6 @@ class TrrSamplerObserver : public ObserverDefense
     /** Aggressor rows currently held in the reservoir. */
     std::size_t sampledRows() const { return sampled_.size(); }
 
-    double
-    overheadFactor() const override
-    {
-        // A few targeted refreshes folded into REFs the device issues
-        // anyway; in-DRAM TRR is marketed as free.
-        return 0.001;
-    }
-
     std::vector<std::uint64_t>
     rngState() const override
     {

@@ -36,7 +36,6 @@ struct DramConfig
     CellTypeMap cellMap = CellTypeMap::alternating(512);
     ErrorStats errors;
     std::uint64_t seed = 1;
-    SimTime refreshInterval = 64 * milliseconds; //!< JEDEC default
 };
 
 /** One simulated DRAM module. */

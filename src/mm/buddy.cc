@@ -8,11 +8,6 @@ namespace ctamem::mm {
 BuddyAllocator::BuddyAllocator(Pfn base_pfn, std::uint64_t frames)
     : basePfn_(base_pfn), frames_(frames)
 {
-    allocCallsId_ = stats_.registerCounter("allocCalls");
-    freeCallsId_ = stats_.registerCounter("freeCalls");
-    splitsId_ = stats_.registerCounter("splits");
-    mergesId_ = stats_.registerCounter("merges");
-    failuresId_ = stats_.registerCounter("failures");
     // Tile the range greedily with the largest naturally aligned
     // blocks that fit, exactly as memblock hands pages to the buddy
     // system at boot.
@@ -43,20 +38,15 @@ BuddyAllocator::insertFree(Pfn pfn, unsigned order)
 std::optional<Pfn>
 BuddyAllocator::allocate(unsigned order)
 {
-    stats_.at(allocCallsId_).increment();
-    if (order > maxOrder) {
-        stats_.at(failuresId_).increment();
+    if (order > maxOrder)
         return std::nullopt;
-    }
 
     // Find the smallest order with a free block.
     unsigned found = order;
     while (found <= maxOrder && freeLists_[found].empty())
         ++found;
-    if (found > maxOrder) {
-        stats_.at(failuresId_).increment();
+    if (found > maxOrder)
         return std::nullopt;
-    }
 
     // Take the lowest-addressed block and split down to the target.
     Pfn pfn = *freeLists_[found].begin();
@@ -65,7 +55,6 @@ BuddyAllocator::allocate(unsigned order)
         --found;
         // Keep the lower half, free the upper half.
         insertFree(pfn + (1ULL << found), found);
-        stats_.at(splitsId_).increment();
     }
     freeFrames_ -= 1ULL << order;
     return pfn;
@@ -74,7 +63,6 @@ BuddyAllocator::allocate(unsigned order)
 void
 BuddyAllocator::free(Pfn pfn, unsigned order)
 {
-    stats_.at(freeCallsId_).increment();
     if (!contains(pfn) || order > maxOrder)
         ctamem_panic("free of pfn ", pfn, " outside allocator range");
     if (isFree(pfn, 0))
@@ -91,7 +79,6 @@ BuddyAllocator::free(Pfn pfn, unsigned order)
         freeLists_[order].erase(it);
         pfn = std::min(pfn, buddy);
         ++order;
-        stats_.at(mergesId_).increment();
     }
     insertFree(pfn, order);
 }

@@ -19,7 +19,6 @@
 #include <optional>
 #include <set>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace ctamem::mm {
@@ -66,10 +65,6 @@ class BuddyAllocator
      */
     bool isFree(Pfn pfn, unsigned order) const;
 
-    /** Counters: allocCalls, freeCalls, splits, merges, failures. */
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
-
   private:
     void insertFree(Pfn pfn, unsigned order);
 
@@ -77,12 +72,6 @@ class BuddyAllocator
     std::uint64_t frames_;
     std::uint64_t freeFrames_ = 0;
     std::array<std::set<Pfn>, maxOrder + 1> freeLists_;
-    StatGroup stats_;
-    StatId allocCallsId_;
-    StatId freeCallsId_;
-    StatId splitsId_;
-    StatId mergesId_;
-    StatId failuresId_;
 };
 
 } // namespace ctamem::mm

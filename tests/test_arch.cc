@@ -330,9 +330,10 @@ TEST(Arch, TlbEntriesNeverAliasAcrossArchRoots)
     // Distinct tags for every backend pair.
     for (const Arch *a : kAllArches)
         for (const Arch *b : kAllArches)
-            if (a != b)
+            if (a != b) {
                 EXPECT_NE(a->tag(), b->tag())
                     << a->name << " vs " << b->name;
+            }
 }
 
 } // namespace

@@ -25,7 +25,6 @@ TEST(Para, SuppressesEssentiallyEveryPass)
     // 1 - (1 - 0.001)^1.3e6 is indistinguishable from 1.
     EXPECT_EQ(suppressed, 100u);
     EXPECT_EQ(para.mitigations(), 100u);
-    EXPECT_GT(para.overheadFactor(), 0.0);
 }
 
 TEST(Para, TinyProbabilityLeaks)
@@ -52,7 +51,6 @@ TEST(RefreshBoost, SuppressesAllButOneInK)
     }
     // ~1/4 of passes still land: no guarantee, just slowdown.
     EXPECT_NEAR(leaked, passes / 4, passes / 16);
-    EXPECT_EQ(boost.overheadFactor(), 4.0);
 }
 
 TEST(Anvil, DetectsSustainedHammering)
@@ -101,7 +99,6 @@ TEST(SoftTrr, RefreshesRowsPastTheThreshold)
     // ...but accumulates: two more and row 20 trips too.
     EXPECT_FALSE(trr.onHammer({0, 20, 400'000, 19, 21}));
     EXPECT_TRUE(trr.onHammer({0, 20, 400'000, 19, 21}));
-    EXPECT_GT(trr.overheadFactor(), 0.0);
 }
 
 TEST(SoftTrr, BoundedTableEvictsColdestRow)

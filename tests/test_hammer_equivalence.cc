@@ -229,9 +229,10 @@ TEST(HammerEquivalence, SingleSidedAndRepeatedPassesMatch)
         EXPECT_EQ(fast.flips10, ref.flips10) << "pass " << pass;
         EXPECT_EQ(fast.flips01, ref.flips01) << "pass " << pass;
         EXPECT_EQ(canonical(events), canonical(ref.events));
-        if (pass > 0)
+        if (pass > 0) {
             EXPECT_EQ(fast.total(), 0u)
                 << "single-sided flips exhaust after one pass";
+        }
     }
     expectStoresEqual(masked, scalar);
 }

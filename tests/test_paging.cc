@@ -225,8 +225,9 @@ TEST_F(PagingTest, EntryAddressPerLevel)
         ASSERT_NE(addr, 0u) << "level " << level;
         const std::uint64_t entry = module_->readU64(addr);
         EXPECT_TRUE(kX86_64.present(entry));
-        if (level == 1)
+        if (level == 1) {
             EXPECT_EQ(kX86_64.pfn(entry), addrToPfn(16 * MiB));
+        }
     }
 }
 

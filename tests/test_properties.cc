@@ -144,10 +144,12 @@ TEST_P(MonotonicityProperty, ReachabilityIsConsistent)
                          cta::reachableByUpFlips(a, b));
         }
         // Reachability is antisymmetric through the value order.
-        if (cta::reachableByDownFlips(a, b))
+        if (cta::reachableByDownFlips(a, b)) {
             ASSERT_LE(b, a);
-        if (cta::reachableByUpFlips(a, b))
+        }
+        if (cta::reachableByUpFlips(a, b)) {
             ASSERT_GE(b, a);
+        }
     }
 }
 
@@ -210,8 +212,9 @@ TEST_P(PtpZoneProperty, ConstructionInvariants)
     for (const mm::FrameSpan &span : zone.spans) {
         span_frames += span.frames;
         // Ordered top of memory first, no overlap.
-        if (!first)
+        if (!first) {
             EXPECT_LE(span.endPfn(), prev_base);
+        }
         first = false;
         prev_base = span.basePfn;
         // Entirely above the low water mark and in true cells.
