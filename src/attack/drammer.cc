@@ -138,6 +138,7 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
             }
         }
     }
+    report.elapsed = ctx.elapsed();
     return report;
 }
 
@@ -150,6 +151,7 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine)
     int pid = -1;
     TemplateReport report = templateMemory(kernel, engine, &pid);
     AttackerContext ctx(kernel, engine, pid);
+    ctx.charge(report.elapsed);
     result.flipsInduced = report.templates.size();
     result.hammerPasses = report.hammeredRows;
 

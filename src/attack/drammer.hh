@@ -52,6 +52,7 @@ struct TemplateReport
 {
     std::vector<FlipTemplate> templates;
     std::uint64_t hammeredRows = 0;
+    SimTime elapsed = 0; //!< modeled time of the templating passes
 };
 
 /**

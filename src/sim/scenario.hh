@@ -65,9 +65,10 @@ inline constexpr std::uint64_t kScenarioSchemaVersion = 4;
  * from the schema version: bumping the schema for a purely additive
  * change (like v3 -> v4) must NOT invalidate cached results for
  * manifests whose meaning is unchanged, so the epoch only moves when
- * result semantics move.  Last moved with schema v3.
+ * result semantics move: 3 with schema v3; 4 when Drammer's
+ * attackTime started counting its templating passes.
  */
-inline constexpr std::uint64_t kResultCacheEpoch = 3;
+inline constexpr std::uint64_t kResultCacheEpoch = 4;
 
 /** @name MachineConfig <-> JSON */
 /** @{ */

@@ -100,6 +100,10 @@ TEST(Drammer, EscalatesOnUnprotectedKernel)
     dram::RowHammerEngine engine(kernel.dram());
     const AttackResult result = runDrammer(kernel, engine);
     EXPECT_EQ(result.outcome, Outcome::Escalated) << result.detail;
+    // Templating and the re-hammers are all double-sided passes, and
+    // the attack's clock charges each one refresh window.
+    EXPECT_EQ(result.attackTime,
+              model::kHammerRowCost * result.hammerPasses);
 }
 
 TEST(Drammer, BlockedByCta)

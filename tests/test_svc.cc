@@ -150,7 +150,7 @@ TEST(Cache, KeysSeparateCellsAndTrackSchema)
     EXPECT_EQ(cellCacheKey(CampaignCell{MachineConfig{},
                                         sim::AttackKind::ProjectZero,
                                         "key-pin"}),
-              "eb0edec9ec37d0a2");
+              "541e3a030444f1f8");
 }
 
 TEST(Cache, MemoryTierHitsAndMisses)
