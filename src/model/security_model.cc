@@ -85,6 +85,8 @@ vulnerableSystemFraction(const SystemParams &params)
 AttackTime
 expectedAttackTime(const SystemParams &params)
 {
+    // Dividing (rather than scaling by 1e-9) rounds each cost to the
+    // double nearest its decimal value in seconds, e.g. 0.184.
     const auto in_seconds = [](SimTime t) {
         return static_cast<double>(t) / static_cast<double>(seconds);
     };

@@ -125,9 +125,9 @@ boostedSpec()
 
 TEST(RunMc, BatchedBitIdenticalAcrossThreadCounts)
 {
-    // The batched kernel inherits the chunk-seeding contract: the
-    // fold is in chunk-index order and every chunk's draws are
-    // chunk-local, so the estimate is bit-identical at any pool size.
+    // The chunk-seeding contract: the fold is in chunk-index order
+    // and every chunk's draws are chunk-local, so the estimate is
+    // bit-identical at any pool size.
     for (const model::Sampler sampler :
          {model::Sampler::FixedZerosBatched,
           model::Sampler::UniformBatched}) {
