@@ -283,12 +283,12 @@ class RowHammerEngine
      * r % refsPerWindow), then starts from full charge again.  A
      * mitigation's onRef() targeted refreshes clear pressure early.
      *
-     * Pressure maps onto the untimed intensities: a window of paired
-     * (double-sided) activations reaches doubleSidedIntensity, a
-     * window of one-sided activations reaches singleSidedIntensity —
-     * so a pattern saturating the clock reproduces the untimed
-     * hammer, and anything sparser or interrupted by TRR lands
-     * proportionally lower.
+     * Pressure maps onto the untimed intensities: activationsPerPass
+     * paired (double-sided) activations reach doubleSidedIntensity,
+     * activationsPerPass one-sided ones singleSidedIntensity — so
+     * giving each aggressor the activationsPerPass its untimed event
+     * announces reproduces the untimed hammer, and anything sparser
+     * or interrupted by TRR lands proportionally lower.
      */
     /** @{ */
     void setRefTiming(const RefTiming &timing) { refTiming_ = timing; }

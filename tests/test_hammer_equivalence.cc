@@ -261,6 +261,52 @@ TEST(HammerEquivalence, RemappedRowsStayEquivalent)
     expectStoresEqual(masked, scalar);
 }
 
+TEST(HammerEquivalence, SaturatedTimedWindowMatchesUntimedPasses)
+{
+    // A timed window in which each aggressor gets the
+    // activationsPerPass its untimed event announces: paired pressure
+    // reaches doubleSidedIntensity on the sandwiched victim, one-sided
+    // pressure singleSidedIntensity on the outer rows, so both paths
+    // flip exactly the same cells.
+    constexpr std::uint64_t bank = 1;
+    constexpr std::uint64_t victim = 9;
+    constexpr std::uint64_t acts = RowHammerEngine::activationsPerPass;
+    for (const bool double_sided : {true, false}) {
+        DramModule untimed(equivConfig(0x5a7, 1e-2));
+        DramModule timed(equivConfig(0x5a7, 1e-2));
+        std::mt19937_64 patterns(0xe9004);
+        for (std::uint64_t row = victim - 3; row <= victim + 3; ++row)
+            fillRowRandom(untimed, timed, bank, row, patterns());
+        RowHammerEngine untimed_engine(untimed);
+        RowHammerEngine timed_engine(timed);
+        std::vector<FlipEvent> untimed_events;
+        std::vector<FlipEvent> timed_events;
+        untimed_engine.setEventSink(&untimed_events);
+        timed_engine.setEventSink(&timed_events);
+
+        HammerResult expected;
+        HammerResult got;
+        if (double_sided) {
+            expected = untimed_engine.hammerDoubleSided(bank, victim);
+            timed_engine.activate(bank, victim - 1, acts, 0, got);
+            timed_engine.activate(bank, victim + 1, acts, 1, got);
+        } else {
+            expected = untimed_engine.hammerRow(bank, victim);
+            timed_engine.activate(bank, victim, acts, 0, got);
+        }
+        timed_engine.drainPressure(bank, got);
+
+        EXPECT_GT(expected.total(), 0u) << "double " << double_sided;
+        EXPECT_EQ(got.flips10, expected.flips10)
+            << "double " << double_sided;
+        EXPECT_EQ(got.flips01, expected.flips01)
+            << "double " << double_sided;
+        EXPECT_EQ(canonical(timed_events), canonical(untimed_events))
+            << "double " << double_sided;
+        expectStoresEqual(untimed, timed);
+    }
+}
+
 /** Records every DisturbanceEvent it sees; never suppresses. */
 struct RecordingObserver : DisturbanceObserver
 {
