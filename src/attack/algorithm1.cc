@@ -56,18 +56,18 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
     ctx.flushTlb();
 
     // Step (3): check all PTEs for self-reference; also collect the
-    // monotonicity evidence the theorem predicts.  The engine's mask
+    // monotonicity evidence the theorem predicts.  The engine's row
     // profiles tell us which 64-bit words contain any vulnerable cell
-    // at all: a word with an empty mask cannot have changed, so its
-    // re-read is skipped outright — the attacker's memcmp cost is
-    // still charged in full below.
+    // at all: a word without one cannot have changed, so its re-read
+    // is skipped outright — the attacker's memcmp cost is still
+    // charged in full below.
     Algorithm1Evidence local;
     local.ptesBefore = before.size();
     const Addr lwm = ptp->lowWaterMark;
     const std::uint64_t row_bytes =
         kernel.dram().geometry().rowBytes();
     const dram::RowVulnProfile *profile = nullptr;
-    std::size_t word_ptr = 0;
+    std::size_t cell = 0;
     for (const auto &[addr, old_raw] : before) {
         if (!profile || addr < profile->base ||
             addr >= profile->base + row_bytes) {
@@ -75,18 +75,15 @@ runAlgorithm1(Kernel &kernel, dram::RowHammerEngine &engine,
             const std::uint64_t device =
                 kernel.dram().deviceRow(loc.bank, loc.row);
             profile = &engine.rowProfile(loc.bank, device);
-            word_ptr = 0;
+            cell = 0;
         }
         const auto word =
             static_cast<std::uint32_t>((addr - profile->base) / 8);
-        while (word_ptr < profile->words.size() &&
-               profile->words[word_ptr].word < word) {
-            ++word_ptr; // `before` ascends, so this never rewinds
-        }
-        if (word_ptr >= profile->words.size() ||
-            profile->words[word_ptr].word != word) {
+        const std::vector<std::uint32_t> &bits = profile->cellBits;
+        while (cell < bits.size() && (bits[cell] >> 6) < word)
+            ++cell; // `before` ascends, so this never rewinds
+        if (cell >= bits.size() || (bits[cell] >> 6) != word)
             continue; // no vulnerable cell in this word: unchanged
-        }
         const std::uint64_t new_raw = kernel.dram().readU64(addr);
         if (new_raw == old_raw)
             continue;

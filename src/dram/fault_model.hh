@@ -14,19 +14,20 @@
  *
  *  - scalar accessors (vulnerable / flipDirection / tripThreshold /
  *    retentionTime) answer for a single (addr, bit) cell; and
- *  - word accessors (vulnMaskWord / flipDirMaskWord / tripMaskWord)
- *    answer for the 64 cells backing 8 consecutive bytes at once,
- *    bit k of the mask describing cell (addr + k/8, k%8) — the layout
- *    of a little-endian 64-bit load, so masks AND/XOR directly against
+ *  - word accessors (vulnMaskWord / flipDirMaskWord) answer for the
+ *    64 cells backing 8 consecutive bytes at once, bit k of the mask
+ *    describing cell (addr + k/8, k%8) — the layout of a
+ *    little-endian 64-bit load, so masks AND/XOR directly against
  *    SparseStore::readU64() words.
  *
  * The word accessors are *bit-identical* to 64 scalar calls: both
  * paths hoist the per-salt stableHash prefix into a precomputed base
  * (two splitmix64 rounds per cell instead of three) and compare the
- * raw 53-bit
- * hash against an integer threshold.  Multiplying a probability by
- * 2^53 is exact (power-of-two scaling), so `hash01(...) < p` and the
- * integer compare agree for every hash value.
+ * raw 53-bit hash against an integer threshold.  Multiplying a
+ * probability by 2^53 is exact (power-of-two scaling), so
+ * `hash01(...) < p` and the integer compare agree for every hash
+ * value.  The hammer engine keeps each vulnerable cell's raw trip
+ * hash (tripHash) for the same reason.
  */
 
 #ifndef CTAMEM_DRAM_FAULT_MODEL_HH
@@ -99,7 +100,19 @@ class FaultModel
     double
     tripThreshold(Addr addr, unsigned bit) const
     {
-        return toUnit(cellHash(thrBase_, cellIndex(addr, bit)));
+        return toUnit(tripHash(addr, bit));
+    }
+
+    /**
+     * The 53-bit hash behind tripThreshold(): the threshold times
+     * 2^53, exactly.  A pass of intensity i trips the cell iff
+     * tripHash <= floor(i * 2^53), since the hash is an integer
+     * exactly representable as a double.
+     */
+    std::uint64_t
+    tripHash(Addr addr, unsigned bit) const
+    {
+        return cellHash(thrBase_, cellIndex(addr, bit));
     }
 
     /**
@@ -137,22 +150,6 @@ class FaultModel
             maskLt(dirBase_, addr * 8, dirLt_, lanes);
         // True cells: dominant leak is '1'->'0'; anti-cells mirror.
         return type == CellType::True ? dominant : (lanes & ~dominant);
-    }
-
-    /** Bit k set iff cell k's trip threshold is <= @p intensity. */
-    std::uint64_t
-    tripMaskWord(Addr addr, double intensity,
-                 std::uint64_t lanes = ~0ULL) const
-    {
-        if (intensity < 0.0)
-            return 0;
-        // tripThreshold <= i  <=>  hash53 <= floor(i * 2^53): the
-        // hash is an integer exactly representable as a double, so
-        // the real-number comparison truncates to an integer one.
-        const std::uint64_t le =
-            static_cast<std::uint64_t>(intensity *
-                                       9007199254740992.0);
-        return maskLe(thrBase_, addr * 8, le, lanes);
     }
 
     /**
@@ -234,21 +231,6 @@ class FaultModel
             const unsigned k = std::countr_zero(rest);
             mask |= static_cast<std::uint64_t>(
                         cellHash(base, idx0 + k) < lt)
-                    << k;
-        }
-        return mask;
-    }
-
-    /** Mask of lanes with cellHash <= @p le. */
-    std::uint64_t
-    maskLe(std::uint64_t base, std::uint64_t idx0, std::uint64_t le,
-           std::uint64_t lanes) const
-    {
-        std::uint64_t mask = 0;
-        for (std::uint64_t rest = lanes; rest; rest &= rest - 1) {
-            const unsigned k = std::countr_zero(rest);
-            mask |= static_cast<std::uint64_t>(
-                        cellHash(base, idx0 + k) <= le)
                     << k;
         }
         return mask;

@@ -20,35 +20,70 @@ rowKey(std::uint64_t bank, std::uint64_t device_row)
     return (bank << 40) | device_row;
 }
 
-/** Build the mask profile of one row from the fault model. */
+/**
+ * Largest trip hash a pass of @p intensity trips: tripThreshold <= i
+ * <=> tripHash <= floor(i * 2^53), the hash being an integer exactly
+ * representable as a double.
+ */
+std::uint64_t
+tripLimit(double intensity)
+{
+    return static_cast<std::uint64_t>(intensity * 9007199254740992.0);
+}
+
+/** Whether a pass whose tripLimit is @p limit trips cell @p trip. */
+bool
+trips(std::uint64_t trip, std::uint64_t limit)
+{
+    return (trip & RowVulnProfile::kTripHash) <= limit;
+}
+
+/** Build the cell records of one row from the fault model. */
 std::shared_ptr<const RowVulnProfile>
 buildProfile(const FaultModel &faults, Addr base, CellType type,
              std::uint64_t row_bytes, std::vector<std::uint64_t> &scratch)
 {
+    if (row_bytes > (1ULL << 29))
+        fatal("row profile: ", row_bytes,
+              "-byte rows overflow 32-bit cell offsets");
     auto profile = std::make_shared<RowVulnProfile>();
     profile->base = base;
     profile->type = type;
-    profile->mapped = true;
 
     const std::size_t row_words = row_bytes / 8;
     scratch.resize(row_words);
     faults.vulnMaskRow(base, row_words, scratch.data());
 
+    std::size_t cells = 0;
+    for (const std::uint64_t vuln : scratch)
+        cells += std::popcount(vuln);
+    profile->cellBits.reserve(cells);
+    profile->cellTrips.reserve(cells);
     for (std::size_t w = 0; w < row_words; ++w) {
         const std::uint64_t vuln = scratch[w];
         if (!vuln)
             continue;
         const Addr waddr = base + w * 8;
-        // Direction and trip masks only need the vulnerable lanes:
-        // the apply step never consults them outside `vuln`.
         const std::uint64_t dir10 =
             faults.flipDirMaskWord(waddr, type, vuln);
-        const std::uint64_t trip = faults.tripMaskWord(
-            waddr, RowHammerEngine::singleSidedIntensity, vuln);
-        profile->words.push_back(
-            MaskWord{static_cast<std::uint32_t>(w), vuln, dir10, trip});
-        profile->vulnerableCells += std::popcount(vuln);
-        profile->tripSingleCells += std::popcount(trip);
+        for (std::uint64_t rest = vuln; rest; rest &= rest - 1) {
+            const unsigned k = std::countr_zero(rest);
+            profile->cellBits.push_back(
+                static_cast<std::uint32_t>(w * 64 + k));
+            profile->cellTrips.push_back(
+                faults.tripHash(waddr + k / 8, k % 8) |
+                ((dir10 >> k) & 1 ? RowVulnProfile::kDir10 : 0));
+        }
+    }
+
+    const std::uint64_t single =
+        tripLimit(RowHammerEngine::singleSidedIntensity);
+    profile->singleCells.reserve(std::ranges::count_if(
+        profile->cellTrips,
+        [single](std::uint64_t trip) { return trips(trip, single); }));
+    for (std::uint32_t i = 0; i < cells; ++i) {
+        if (trips(profile->cellTrips[i], single))
+            profile->singleCells.push_back(i);
     }
     return profile;
 }
@@ -170,7 +205,12 @@ class ProfileCache
     };
 
     static constexpr unsigned kShards = 8;
-    static constexpr std::size_t kDefaultPerShard = 128;
+    /**
+     * 3,072 entries: room for the 1,456 distinct rows an 8-seed
+     * Table-1 campaign batch touches (182 per seed), so the
+     * attack-major grid builds each row once.
+     */
+    static constexpr std::size_t kDefaultPerShard = 384;
 
     struct Shard
     {
@@ -218,7 +258,7 @@ DisturbanceEvent::vulnerableCellsIn(std::uint64_t device_row) const
 {
     if (!engine)
         return 0;
-    return engine->rowProfile(bank, device_row).vulnerableCells;
+    return engine->rowProfile(bank, device_row).vulnerableCells();
 }
 
 const RowVulnProfile &
@@ -254,33 +294,17 @@ RowHammerEngine::disturbDeviceRow(std::uint64_t bank,
                                   HammerResult &result)
 {
     const RowVulnProfile &profile = rowProfile(bank, device_row);
-    if (!profile.mapped || profile.words.empty())
-        return;
-
     SparseStore &store = module_.store();
-    const FaultModel &faults = module_.faults();
-    const bool full = intensity >= doubleSidedIntensity;
-    const bool single = intensity == singleSidedIntensity;
-
-    for (const MaskWord &mw : profile.words) {
-        const Addr waddr = profile.base + mw.word * 8ULL;
-        // Candidate cells: intensity at or above the trip threshold.
-        // Full intensity trips every vulnerable cell (thresholds live
-        // in [0,1)); the single-sided mask is precomputed; any other
-        // intensity asks the fault model directly.
-        const std::uint64_t candidates =
-            full ? mw.vuln :
-            single ? mw.trip :
-                     faults.tripMaskWord(waddr, intensity, mw.vuln);
-        if (!candidates)
-            continue;
+    const auto apply = [&](std::uint32_t word, std::uint64_t candidates,
+                           std::uint64_t dir10) {
+        const Addr waddr = profile.base + word * 8ULL;
         const std::uint64_t stored = store.readU64(waddr);
         // A flip consumes the stored value its direction leaks from.
-        const std::uint64_t f10 = candidates & mw.dir10 & stored;
-        const std::uint64_t f01 = candidates & ~mw.dir10 & ~stored;
+        const std::uint64_t f10 = candidates & dir10 & stored;
+        const std::uint64_t f01 = candidates & ~dir10 & ~stored;
         const std::uint64_t flips = f10 | f01;
         if (!flips)
-            continue;
+            return;
         store.writeU64(waddr, (stored & ~f10) | f01);
         result.flips10 += std::popcount(f10);
         result.flips01 += std::popcount(f01);
@@ -293,6 +317,25 @@ RowHammerEngine::disturbDeviceRow(std::uint64_t bank,
                                      FlipDirection::ZeroToOne});
             }
         }
+    };
+
+    // Candidate cells: those whose trip hash is at most
+    // tripLimit(intensity).  Full intensity trips every vulnerable
+    // cell (thresholds live in [0,1)); the single-sided cells are
+    // listed; any other intensity compares the stored hashes.
+    if (intensity >= doubleSidedIntensity) {
+        profile.forEachWord(apply);
+    } else if (intensity == singleSidedIntensity) {
+        profile.forEachWord(profile.singleCells, apply);
+    } else {
+        const std::uint64_t limit = tripLimit(intensity);
+        profile.forEachWord(
+            std::views::iota(std::size_t{0},
+                             profile.vulnerableCells()) |
+                std::views::filter([&](std::size_t i) {
+                    return trips(profile.cellTrips[i], limit);
+                }),
+            apply);
     }
 }
 

@@ -10,9 +10,10 @@
  * mitigation suppressed the disturbance.
  *
  * The data path is row-granular and bit-parallel: each disturbed row
- * is described by a RowVulnProfile — per-64-cell-word masks of
- * vulnerability, flip direction and single-sided trip — and a hammer
- * pass is AND/XOR/popcount over those masks against the store's
+ * is described by a RowVulnProfile — one record per vulnerable cell
+ * holding its bit offset, flip direction and trip hash — and a hammer
+ * pass groups the tripped cells into per-64-cell-word masks and
+ * applies them with AND/XOR/popcount against the store's
  * readU64()/writeU64() fast path.  Profiles are pure functions of the
  * module seed, so they are cached per (bank, device row) and shared
  * process-wide between engines that simulate identical modules.
@@ -46,6 +47,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -181,32 +183,71 @@ class DisturbanceObserver
 };
 
 /**
- * Fault masks of one 64-cell word (8 bytes) of a row.  Bit k of each
- * mask describes the cell backing bit k of a little-endian u64 load
- * at (row base + word * 8) — i.e. cell (base + word*8 + k/8, k%8).
- */
-struct MaskWord
-{
-    std::uint32_t word;  //!< 8-byte word index within the row
-    std::uint64_t vuln;  //!< vulnerable cells
-    std::uint64_t dir10; //!< subset of vuln flipping '1'->'0'
-    std::uint64_t trip;  //!< subset of vuln tripping single-sided
-};
-
-/**
- * Bit-parallel fault profile of one device row: only words containing
- * at least one vulnerable cell appear, in ascending order.  A pure
+ * Fault profile of one device row: one record per vulnerable cell, in
+ * ascending bit-offset order, split into parallel arrays.  A pure
  * function of (module seed, error stats, row base address, cell
- * type), which is what makes process-wide sharing sound.
+ * type), which is what makes process-wide sharing sound.  A device
+ * row vacated by re-mapping has no cells.
  */
 struct RowVulnProfile
 {
-    Addr base = 0;       //!< logical address of the row's first byte
+    /** cellTrips bits 0..52: the trip hash. */
+    static constexpr std::uint64_t kTripHash = (1ULL << 53) - 1;
+    /** cellTrips bit 63: the cell flips '1'->'0'. */
+    static constexpr std::uint64_t kDir10 = 1ULL << 63;
+
+    Addr base = 0; //!< logical address of the row's first byte
     CellType type = CellType::True;
-    bool mapped = false; //!< false: device row vacated by re-mapping
-    std::vector<MaskWord> words;
-    std::uint64_t vulnerableCells = 0;
-    std::uint64_t tripSingleCells = 0;
+    /** Bit offset in the row (byte * 8 + bit) of each cell. */
+    std::vector<std::uint32_t> cellBits;
+    /**
+     * Each cell's FaultModel::tripHash (its trip threshold times
+     * 2^53, exact) under kTripHash, its direction under kDir10.
+     */
+    std::vector<std::uint64_t> cellTrips;
+    /** Indices of the cells a single-sided pass trips, ascending. */
+    std::vector<std::uint32_t> singleCells;
+
+    std::size_t vulnerableCells() const { return cellBits.size(); }
+
+    /**
+     * Visit the cells @p cells (ascending indices into cellBits) word
+     * by word: @p fn(word, lanes, dir10) gets each 8-byte word of the
+     * row holding one of them, in ascending order, with their lanes
+     * and the subset of them flipping '1'->'0'.  Lane k is the cell
+     * backing bit k of a little-endian u64 load at base + word * 8.
+     */
+    template <typename Cells, typename Fn>
+    void
+    forEachWord(Cells &&cells, Fn &&fn) const
+    {
+        std::uint32_t word = 0;
+        std::uint64_t lanes = 0;
+        std::uint64_t dir10 = 0;
+        for (const std::size_t i : cells) {
+            const std::uint32_t cell_word = cellBits[i] >> 6;
+            if (lanes && cell_word != word) {
+                fn(word, lanes, dir10);
+                lanes = 0;
+                dir10 = 0;
+            }
+            word = cell_word;
+            const std::uint64_t lane = 1ULL << (cellBits[i] & 63);
+            lanes |= lane;
+            dir10 |= cellTrips[i] & kDir10 ? lane : 0;
+        }
+        if (lanes)
+            fn(word, lanes, dir10);
+    }
+
+    /** forEachWord over every vulnerable cell of the row. */
+    template <typename Fn>
+    void
+    forEachWord(Fn &&fn) const
+    {
+        forEachWord(std::views::iota(std::size_t{0}, cellBits.size()),
+                    fn);
+    }
 };
 
 /** Applies RowHammer disturbance to a DramModule. */
@@ -327,7 +368,7 @@ class RowHammerEngine
     /** @} */
 
     /**
-     * Mask profile of a device row (lazily built, cached, shared
+     * Fault profile of a device row (lazily built, cached, shared
      * between engines over identical modules).  Stable against row
      * re-mapping: the cached entry revalidates against the current
      * logical base.

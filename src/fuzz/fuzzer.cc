@@ -121,10 +121,10 @@ PatternFuzzer::evaluate(const HammeringPattern &pattern) const
         }
         const dram::RowVulnProfile &profile =
             engine.rowProfile(target_.bank, device);
-        if (!profile.mapped)
-            continue;
-        for (const dram::MaskWord &mw : profile.words)
-            module.writeU64(profile.base + mw.word * 8ULL, mw.dir10);
+        profile.forEachWord([&](std::uint32_t word, std::uint64_t,
+                                std::uint64_t dir10) {
+            module.writeU64(profile.base + word * 8ULL, dir10);
+        });
     }
 
     PatternRun run;

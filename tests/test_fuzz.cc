@@ -128,10 +128,10 @@ primeWholeArena(dram::RowHammerEngine &engine, std::uint64_t bank,
     for (std::uint64_t row = first; row < last; ++row) {
         const dram::RowVulnProfile &profile =
             engine.rowProfile(bank, module.deviceRow(bank, row));
-        if (!profile.mapped)
-            continue;
-        for (const dram::MaskWord &mw : profile.words)
-            module.writeU64(profile.base + mw.word * 8ULL, mw.dir10);
+        profile.forEachWord([&](std::uint32_t word, std::uint64_t,
+                                std::uint64_t dir10) {
+            module.writeU64(profile.base + word * 8ULL, dir10);
+        });
     }
 }
 

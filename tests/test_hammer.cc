@@ -69,7 +69,7 @@ TEST(Hammer, TrueCellAllZeroDataRarelyFlips)
     // 0->1 flips exist but at 0.2% of the vulnerable population.
     EXPECT_EQ(result.flips10, 0u);
     const std::uint64_t vulnerable =
-        engine.rowProfile(0, 1).vulnerableCells;
+        engine.rowProfile(0, 1).vulnerableCells();
     EXPECT_LT(result.flips01, vulnerable / 50);
 }
 
@@ -186,22 +186,53 @@ TEST(Hammer, VulnerableBitScanMatchesFaultModel)
 {
     DramModule module(hammerConfig());
     RowHammerEngine engine(module);
-    const RowVulnProfile &profile = engine.rowProfile(0, 1);
     const FaultModel &faults = module.faults();
-    const Addr base = 1 * 128 * KiB;
-    std::uint64_t cells = 0;
-    for (const MaskWord &word : profile.words) {
-        for (std::uint64_t rest = word.vuln; rest; rest &= rest - 1) {
-            const unsigned k = std::countr_zero(rest);
-            EXPECT_TRUE(
-                faults.vulnerable(base + word.word * 8ULL + k / 8, k % 8));
-            ++cells;
+    // Row 1 holds true cells, row 5 anti-cells.
+    for (const std::uint64_t row : {1u, 5u}) {
+        const RowVulnProfile &profile = engine.rowProfile(0, row);
+        const Addr base = row * 128 * KiB;
+        const CellType type = module.cellMap().rowType(row);
+        ASSERT_EQ(profile.cellTrips.size(), profile.cellBits.size());
+
+        // Each record is a vulnerable cell, in ascending order, with
+        // its exact trip hash and its direction and nothing else.
+        std::vector<std::uint32_t> single;
+        for (std::uint32_t i = 0; i < profile.vulnerableCells(); ++i) {
+            const std::uint32_t offset = profile.cellBits[i];
+            const Addr byte = base + offset / 8;
+            const unsigned bit = offset % 8;
+            if (i > 0) {
+                EXPECT_LT(profile.cellBits[i - 1], offset);
+            }
+            EXPECT_TRUE(faults.vulnerable(byte, bit));
+            const std::uint64_t trip = profile.cellTrips[i];
+            const double threshold = faults.tripThreshold(byte, bit);
+            EXPECT_EQ(trip & RowVulnProfile::kTripHash,
+                      static_cast<std::uint64_t>(threshold *
+                                                 9007199254740992.0));
+            EXPECT_EQ((trip & RowVulnProfile::kDir10) != 0,
+                      faults.flipDirection(byte, bit, type) ==
+                          FlipDirection::OneToZero);
+            EXPECT_EQ(trip & ~(RowVulnProfile::kTripHash |
+                               RowVulnProfile::kDir10),
+                      0u);
+            if (threshold <= RowHammerEngine::singleSidedIntensity)
+                single.push_back(i);
         }
+        // The single-sided list is exactly the cells a 0.2 pass trips.
+        EXPECT_EQ(profile.singleCells, single);
+        EXPECT_FALSE(single.empty());
+
+        // No vulnerable cell of the row is missing.
+        std::uint64_t cells = 0;
+        for (std::uint64_t offset = 0; offset < 128 * KiB * 8; ++offset)
+            cells += faults.vulnerable(base + offset / 8, offset % 8);
+        EXPECT_EQ(cells, profile.vulnerableCells());
+        // Expected count: rowBytes * 8 * pf.
+        const double expected = 128.0 * KiB * 8 * 5e-3;
+        EXPECT_NEAR(static_cast<double>(cells), expected,
+                    expected * 0.1);
     }
-    EXPECT_EQ(cells, profile.vulnerableCells);
-    // Expected count: rowBytes * 8 * pf.
-    const double expected = 128.0 * KiB * 8 * 5e-3;
-    EXPECT_NEAR(static_cast<double>(cells), expected, expected * 0.1);
 }
 
 TEST(Hammer, EdgeRowFallsBackToSingleSided)
@@ -305,8 +336,39 @@ TEST(Hammer, ProfileCacheShrinkEvictsToCapacity)
     EXPECT_EQ(engine.rowProfile(0, 3).base,
               module.rowBase(0, 3));
 
-    profileCacheSetCapacity(1024); // restore the default bound
-    EXPECT_EQ(profileCacheStats().capacity, 1024u);
+    profileCacheSetCapacity(before.capacity); // restore the bound
+    EXPECT_EQ(profileCacheStats().capacity, before.capacity);
+}
+
+TEST(Hammer, ProfileCacheHoldsACampaignBatch)
+{
+    // A Table-1 campaign batch touches 1,456 distinct rows.  The
+    // bound counts entries, not bytes, so 8 KiB rows keep the scans
+    // short.
+    DramConfig config;
+    config.capacity = 64 * MiB;
+    config.rowBytes = 8 * KiB;
+    config.banks = 1;
+    config.cellMap = CellTypeMap::alternating(4);
+    config.errors.pf = 1e-3;
+    config.seed = 0xba7c4ULL;
+    DramModule module(config);
+    constexpr std::uint64_t rows = 1500;
+
+    const ProfileCacheStats before = profileCacheStats();
+    RowHammerEngine first(module);
+    for (std::uint64_t row = 0; row < rows; ++row)
+        first.rowProfile(0, row);
+    const ProfileCacheStats built = profileCacheStats();
+    EXPECT_EQ(built.misses - before.misses, rows);
+
+    // A second engine over the same module builds none of them again.
+    RowHammerEngine second(module);
+    for (std::uint64_t row = 0; row < rows; ++row)
+        second.rowProfile(0, row);
+    const ProfileCacheStats after = profileCacheStats();
+    EXPECT_EQ(after.misses, built.misses);
+    EXPECT_EQ(after.hits - built.hits, rows);
 }
 
 } // namespace

@@ -95,8 +95,7 @@ TEST(FaultWordAccessors, MatchScalarCalls)
             const FaultModel model(seed, stats);
             for (const Addr addr :
                  {Addr{0}, Addr{8}, Addr{128 * KiB}, Addr{1} << 30}) {
-                std::uint64_t vuln = 0, dir_true = 0, dir_anti = 0,
-                              trip = 0;
+                std::uint64_t vuln = 0, dir_true = 0, dir_anti = 0;
                 for (unsigned k = 0; k < 64; ++k) {
                     const Addr byte = addr + k / 8;
                     const unsigned bit = k % 8;
@@ -117,10 +116,6 @@ TEST(FaultWordAccessors, MatchScalarCalls)
                                                 CellType::Anti) ==
                             FlipDirection::OneToZero)
                         << k;
-                    trip |= static_cast<std::uint64_t>(
-                                model.tripThreshold(byte, bit) <=
-                                RowHammerEngine::singleSidedIntensity)
-                            << k;
                 }
                 EXPECT_EQ(model.vulnMaskWord(addr), vuln);
                 EXPECT_EQ(model.flipDirMaskWord(addr, CellType::True,
@@ -129,11 +124,6 @@ TEST(FaultWordAccessors, MatchScalarCalls)
                 EXPECT_EQ(model.flipDirMaskWord(addr, CellType::Anti,
                                                 vuln),
                           dir_anti);
-                EXPECT_EQ(
-                    model.tripMaskWord(
-                        addr, RowHammerEngine::singleSidedIntensity,
-                        vuln),
-                    trip);
             }
         }
     }
@@ -152,9 +142,6 @@ TEST(FaultWordAccessors, LaneRestrictionZeroesClearedLanes)
         EXPECT_EQ(model.flipDirMaskWord(addr, CellType::True, lanes) &
                       ~lanes,
                   0u);
-        // Trip thresholds are independent of vulnerability; at
-        // intensity 1.0 every requested lane trips.
-        EXPECT_EQ(model.tripMaskWord(addr, 1.0, lanes), lanes);
     }
 }
 
@@ -340,7 +327,7 @@ TEST(ObserverMigration, EngineAnnouncesFullEvent)
         EXPECT_EQ(event.engine, &engine);
         // The lazy per-row summary resolves through the engine.
         EXPECT_EQ(event.vulnerableCellsIn(6),
-                  engine.rowProfile(1, 6).vulnerableCells);
+                  engine.rowProfile(1, 6).vulnerableCells());
     }
 
     engine.hammerRow(0, 3);
