@@ -50,6 +50,7 @@ runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine)
     for (VAddr va = arena; va < arena + 4 * MiB;
          va += kernel.pageBytes())
         kernel.touchUser(pid, va);
+    ctx.charge(model::kSprayFillCost);
 
     // "Manufacturer" re-mapping: swap attacker rows device-adjacent
     // to page-table rows (like-for-like cell types only).
@@ -121,6 +122,8 @@ runRemapBypass(Kernel &kernel, dram::RowHammerEngine &engine)
     ctx.hammerPass(victims, result);
 
     result.ptesCorrupted = countTableCorruption(kernel, snapshot);
+    ctx.charge(model::kCheckPteCost * mappings.size() *
+               (bytesPerMapping / kernel.pageBytes()));
     if (!exploit(kernel, pid, mappings, bytesPerMapping, result, "",
                  "kernel secret read from user mode")) {
         if (result.ptesCorrupted > 0) {
@@ -193,6 +196,7 @@ runDoubleOwnedBypass(Kernel &kernel, dram::RowHammerEngine &engine,
     // pointers live amid the page tables.
     std::vector<VAddr> scan = vbuf_windows;
     scan.insert(scan.end(), tables.begin(), tables.end());
+    ctx.charge(model::kCheckPteCost * scan.size());
     if (!exploit(kernel, pid, scan, kernel.pageBytes(), result, "",
                  "kernel secret read via double-owned window")) {
         if (result.ptesCorrupted > 0) {

@@ -66,9 +66,10 @@ inline constexpr std::uint64_t kScenarioSchemaVersion = 4;
  * change (like v3 -> v4) must NOT invalidate cached results for
  * manifests whose meaning is unchanged, so the epoch only moves when
  * result semantics move: 3 with schema v3; 4 when Drammer's
- * attackTime started counting its templating passes.
+ * attackTime started counting its templating passes; 5 when the CATT
+ * bypasses' attackTime started counting the fill and PTE-check steps.
  */
-inline constexpr std::uint64_t kResultCacheEpoch = 4;
+inline constexpr std::uint64_t kResultCacheEpoch = 5;
 
 /** @name MachineConfig <-> JSON */
 /** @{ */

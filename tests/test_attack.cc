@@ -174,6 +174,13 @@ TEST(CattBypass, RemapDefeatsCatt)
         << result.detail;
     EXPECT_GT(result.ptesCorrupted, 0u);
     EXPECT_GT(kernel.dram().remapCount(), 0u);
+    // Section 5's three steps: one fill, one hammered row per pass,
+    // one PTE check per page of the 256 sprayed 64 KiB mappings.
+    EXPECT_EQ(result.attackTime,
+              model::kSprayFillCost +
+                  model::kHammerRowCost * result.hammerPasses +
+                  model::kCheckPteCost * 256 *
+                      (64 * KiB / kernel.pageBytes()));
 }
 
 TEST(CattBypass, RemapDoesNotDefeatCta)

@@ -150,7 +150,7 @@ TEST(Cache, KeysSeparateCellsAndTrackSchema)
     EXPECT_EQ(cellCacheKey(CampaignCell{MachineConfig{},
                                         sim::AttackKind::ProjectZero,
                                         "key-pin"}),
-              "541e3a030444f1f8");
+              "708becbf7636f728");
 }
 
 TEST(Cache, MemoryTierHitsAndMisses)
