@@ -20,11 +20,7 @@ rowKey(std::uint64_t bank, std::uint64_t device_row)
     return (bank << 40) | device_row;
 }
 
-/**
- * Largest trip hash a pass of @p intensity trips: tripThreshold <= i
- * <=> tripHash <= floor(i * 2^53), the hash being an integer exactly
- * representable as a double.
- */
+/** Largest trip hash a pass of @p intensity trips (FaultModel::tripHash). */
 std::uint64_t
 tripLimit(double intensity)
 {
