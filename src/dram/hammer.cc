@@ -27,13 +27,6 @@ tripLimit(double intensity)
     return static_cast<std::uint64_t>(intensity * 9007199254740992.0);
 }
 
-/** Whether a pass whose tripLimit is @p limit trips cell @p trip. */
-bool
-trips(std::uint64_t trip, std::uint64_t limit)
-{
-    return (trip & RowVulnProfile::kTripHash) <= limit;
-}
-
 /** Build the cell records of one row from the fault model. */
 std::shared_ptr<const RowVulnProfile>
 buildProfile(const FaultModel &faults, Addr base, CellType type,
@@ -70,16 +63,6 @@ buildProfile(const FaultModel &faults, Addr base, CellType type,
                 faults.tripHash(waddr + k / 8, k % 8) |
                 ((dir10 >> k) & 1 ? RowVulnProfile::kDir10 : 0));
         }
-    }
-
-    const std::uint64_t single =
-        tripLimit(RowHammerEngine::singleSidedIntensity);
-    profile->singleCells.reserve(std::ranges::count_if(
-        profile->cellTrips,
-        [single](std::uint64_t trip) { return trips(trip, single); }));
-    for (std::uint32_t i = 0; i < cells; ++i) {
-        if (trips(profile->cellTrips[i], single))
-            profile->singleCells.push_back(i);
     }
     return profile;
 }
@@ -316,23 +299,10 @@ RowHammerEngine::disturbDeviceRow(std::uint64_t bank,
     };
 
     // Candidate cells: those whose trip hash is at most
-    // tripLimit(intensity).  Full intensity trips every vulnerable
-    // cell (thresholds live in [0,1)); the single-sided cells are
-    // listed; any other intensity compares the stored hashes.
-    if (intensity >= doubleSidedIntensity) {
-        profile.forEachWord(apply);
-    } else if (intensity == singleSidedIntensity) {
-        profile.forEachWord(profile.singleCells, apply);
-    } else {
-        const std::uint64_t limit = tripLimit(intensity);
-        profile.forEachWord(
-            std::views::iota(std::size_t{0},
-                             profile.vulnerableCells()) |
-                std::views::filter([&](std::size_t i) {
-                    return trips(profile.cellTrips[i], limit);
-                }),
-            apply);
-    }
+    // tripLimit(intensity).  Every hash is below 2^53 (thresholds live
+    // in [0,1)), so full intensity trips every vulnerable cell.
+    profile.forEachWord(
+        tripLimit(std::min(intensity, doubleSidedIntensity)), apply);
 }
 
 HammerResult

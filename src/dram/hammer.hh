@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <ranges>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -205,26 +204,26 @@ struct RowVulnProfile
      * 2^53, exact) under kTripHash, its direction under kDir10.
      */
     std::vector<std::uint64_t> cellTrips;
-    /** Indices of the cells a single-sided pass trips, ascending. */
-    std::vector<std::uint32_t> singleCells;
 
     std::size_t vulnerableCells() const { return cellBits.size(); }
 
     /**
-     * Visit the cells @p cells (ascending indices into cellBits) word
-     * by word: @p fn(word, lanes, dir10) gets each 8-byte word of the
-     * row holding one of them, in ascending order, with their lanes
-     * and the subset of them flipping '1'->'0'.  Lane k is the cell
+     * Visit the cells whose trip hash is at most @p limit word by
+     * word: @p fn(word, lanes, dir10) gets each 8-byte word of the row
+     * holding one of them, in ascending order, with their lanes and
+     * the subset of them flipping '1'->'0'.  Lane k is the cell
      * backing bit k of a little-endian u64 load at base + word * 8.
      */
-    template <typename Cells, typename Fn>
+    template <typename Fn>
     void
-    forEachWord(Cells &&cells, Fn &&fn) const
+    forEachWord(std::uint64_t limit, Fn &&fn) const
     {
         std::uint32_t word = 0;
         std::uint64_t lanes = 0;
         std::uint64_t dir10 = 0;
-        for (const std::size_t i : cells) {
+        for (std::size_t i = 0; i < cellBits.size(); ++i) {
+            if ((cellTrips[i] & kTripHash) > limit)
+                continue;
             const std::uint32_t cell_word = cellBits[i] >> 6;
             if (lanes && cell_word != word) {
                 fn(word, lanes, dir10);
@@ -245,8 +244,7 @@ struct RowVulnProfile
     void
     forEachWord(Fn &&fn) const
     {
-        forEachWord(std::views::iota(std::size_t{0}, cellBits.size()),
-                    fn);
+        forEachWord(kTripHash, fn);
     }
 };
 
