@@ -76,11 +76,13 @@ buildProfile(const FaultModel &faults, Addr base, CellType type,
  * way; a racing double-build is harmless (both results are identical)
  * and first-insert-wins.
  *
- * Each shard is LRU-bounded: service workloads stream arbitrarily
- * many distinct module configs through one process, and an unbounded
- * map would grow with every one of them.  Eviction only drops the
- * cache's own reference — engines hold shared_ptrs to the profiles
- * they are using.
+ * Each shard is LRU-bounded, in entries and in stored cells: service
+ * workloads stream arbitrarily many distinct module configs through
+ * one process, and an unbounded map would grow with every one of
+ * them.  A profile's size is its cell count, which grows with pf and
+ * rowBytes, so the cell bound is what holds the cache's memory for
+ * any config.  Eviction only drops the cache's own reference —
+ * engines hold shared_ptrs to the profiles they are using.
  */
 class ProfileCache
 {
@@ -122,6 +124,7 @@ class ProfileCache
             return it->second.profile; // lost the race: share winner
         shard.lru.push_front(key);
         shard.map.emplace(key, Entry{built, shard.lru.begin()});
+        shard.cells += built->vulnerableCells();
         shard.evictToCapacity(perShardCapacity_);
         return built;
     }
@@ -185,11 +188,19 @@ class ProfileCache
 
     static constexpr unsigned kShards = 8;
     /**
-     * 3,072 entries: room for the 1,456 distinct rows an 8-seed
-     * Table-1 campaign batch touches (182 per seed), so the
-     * attack-major grid builds each row once.
+     * 2,048 entries: an 8-seed Table-1 campaign batch touches about
+     * 1,460 distinct rows, 183 a shard on average and at most 225 in
+     * one shard over 16 measured batches, so the attack-major grid
+     * builds each row once.
      */
-    static constexpr std::size_t kDefaultPerShard = 384;
+    static constexpr std::size_t kDefaultPerShard = 256;
+    /**
+     * Cells a shard may hold per entry of its capacity: 96 KiB of
+     * records.  A Table-1 row has about 1,050 cells, so the entry
+     * bound binds first there; rows of more cells than this (pf above
+     * ~8e-3 at 128 KiB) meet the cell bound first.
+     */
+    static constexpr std::size_t kCellsPerEntry = 8192;
 
     struct Shard
     {
@@ -200,14 +211,19 @@ class ProfileCache
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
+        std::size_t cells = 0; //!< vulnerable cells of the entries
 
-        /** Drop LRU entries until at most @p capacity remain.
-         *  Caller holds the shard mutex. */
+        /** Drop LRU entries until at most @p capacity remain, holding
+         *  at most @p capacity * kCellsPerEntry cells.  Caller holds
+         *  the shard mutex. */
         void
         evictToCapacity(std::size_t capacity)
         {
-            while (map.size() > capacity) {
-                map.erase(lru.back());
+            while (map.size() > capacity ||
+                   cells > capacity * kCellsPerEntry) {
+                const auto it = map.find(lru.back());
+                cells -= it->second.profile->vulnerableCells();
+                map.erase(it);
                 lru.pop_back();
                 ++evictions;
             }

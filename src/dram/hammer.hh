@@ -471,9 +471,10 @@ ProfileCacheStats profileCacheStats();
 
 /**
  * Cap the shared profile cache at @p max_entries (spread across its
- * shards, at least one per shard).  Shrinking evicts LRU entries
- * immediately.  Engines keep shared_ptr references to profiles they
- * hold, so eviction never invalidates a live profile.
+ * shards, at least one per shard) and at 8,192 vulnerable cells per
+ * entry of that cap.  Shrinking evicts LRU entries immediately.
+ * Engines keep shared_ptr references to profiles they hold, so
+ * eviction never invalidates a live profile.
  */
 void profileCacheSetCapacity(std::size_t max_entries);
 

@@ -336,9 +336,9 @@ TEST(Hammer, ProfileCacheShrinkEvictsToCapacity)
 
 TEST(Hammer, ProfileCacheHoldsACampaignBatch)
 {
-    // A Table-1 campaign batch touches 1,456 distinct rows.  The
-    // bound counts entries, not bytes, so 8 KiB rows keep the scans
-    // short.
+    // A Table-1 campaign batch touches 1,456 distinct rows.  Rows
+    // this sparse meet the entry bound first, so 8 KiB rows keep the
+    // scans short.
     DramConfig config;
     config.capacity = 64 * MiB;
     config.rowBytes = 8 * KiB;
@@ -363,6 +363,36 @@ TEST(Hammer, ProfileCacheHoldsACampaignBatch)
     const ProfileCacheStats after = profileCacheStats();
     EXPECT_EQ(after.misses, built.misses);
     EXPECT_EQ(after.hits - built.hits, rows);
+}
+
+TEST(Hammer, ProfileCacheBoundsStoredCells)
+{
+    // An 8 KiB row at pf 0.2 holds about 13,100 cells: more than the
+    // 8,192 a one-entry shard may hold, fewer than a two-entry
+    // shard's 16,384.
+    DramConfig config;
+    config.capacity = 64 * MiB;
+    config.rowBytes = 8 * KiB;
+    config.banks = 1;
+    config.cellMap = CellTypeMap::alternating(4);
+    config.errors.pf = 0.2;
+    config.seed = 0xce115ULL;
+    DramModule module(config);
+    const auto secondFetchHits = [&module] {
+        RowHammerEngine first(module);
+        first.rowProfile(0, 1);
+        const std::uint64_t hits = profileCacheStats().hits;
+        RowHammerEngine second(module);
+        second.rowProfile(0, 1);
+        return profileCacheStats().hits - hits;
+    };
+
+    const std::size_t capacity = profileCacheStats().capacity;
+    profileCacheSetCapacity(8); // one entry a shard
+    EXPECT_EQ(secondFetchHits(), 0u);
+    profileCacheSetCapacity(16); // two entries a shard
+    EXPECT_EQ(secondFetchHits(), 1u);
+    profileCacheSetCapacity(capacity); // restore the bound
 }
 
 } // namespace
