@@ -32,7 +32,7 @@ std::shared_ptr<const RowVulnProfile>
 buildProfile(const FaultModel &faults, Addr base, CellType type,
              std::uint64_t row_bytes, std::vector<std::uint64_t> &scratch)
 {
-    if (row_bytes > (1ULL << 29))
+    if (row_bytes > RowVulnProfile::kMaxRowBytes)
         fatal("row profile: ", row_bytes,
               "-byte rows overflow 32-bit cell offsets");
     auto profile = std::make_shared<RowVulnProfile>();

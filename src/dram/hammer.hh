@@ -194,6 +194,8 @@ struct RowVulnProfile
     static constexpr std::uint64_t kTripHash = (1ULL << 53) - 1;
     /** cellTrips bit 63: the cell flips '1'->'0'. */
     static constexpr std::uint64_t kDir10 = 1ULL << 63;
+    /** Largest row whose bit offsets fit cellBits' 32 bits. */
+    static constexpr std::uint64_t kMaxRowBytes = 512 * MiB;
 
     Addr base = 0; //!< logical address of the row's first byte
     CellType type = CellType::True;

@@ -5,6 +5,7 @@
 #include "attack/registry.hh"
 #include "common/bitops.hh"
 #include "defense/registry.hh"
+#include "dram/hammer.hh"
 
 namespace ctamem::sim {
 
@@ -255,8 +256,9 @@ checkMachineConfig(const MachineConfig &config)
     requireSize(isPowerOfTwo(config.banks), "banks", "a power of two",
                 config.banks);
     requireSize(isPowerOfTwo(config.rowBytes) &&
-                    config.rowBytes >= pageSize,
-                "rowBytes", "a power of two of at least 4 KiB",
+                    config.rowBytes >= pageSize &&
+                    config.rowBytes <= dram::RowVulnProfile::kMaxRowBytes,
+                "rowBytes", "a power of two from 4 KiB to 512 MiB",
                 config.rowBytes);
     requireSize(isPowerOfTwo(config.ptpBytes) &&
                     config.ptpBytes % config.rowBytes == 0 &&

@@ -234,6 +234,10 @@ TEST(Scenario, ManifestSchemaViolationsThrow)
         {"banks", R"({"banks": 0})"},
         {"rowBytes", R"({"rowBytes": 100000})"},
         {"rowBytes", R"({"rowBytes": 2048})"},
+        // Fits the geometry and ZONE_PTP, but not 32-bit cell offsets.
+        {"rowBytes", R"({"memBytes": 4294967296, "banks": 1,
+                         "rowBytes": 1073741824,
+                         "ptpBytes": 1073741824})"},
         {"ptpBytes", R"({"ptpBytes": 4194305})"},
         {"ptpBytes", R"({"ptpBytes": 65536})"},
         {"ptpBytes", R"({"ptpBytes": 268435456})"},
