@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Full local CI: the tier-1 build + test suite (which includes the
-# scenario-manifest, svc and AArch64 smoke tests and the Table-1
-# exact-match gate); the benchmark's self-test, whose helper tests link
-# only perfbench's harness and daemon client, followed by a build of
-# the perfbench binary and the ctamemd it drives, so every workload and
-# probe compiles against src/ and a library API change that breaks the
-# benchmark fails here; and the sanitizer-instrumented suites behind
-# their ctest labels (tsan for the thread-pool/campaign engine, ubsan
-# for the RNG/bit-twiddling-heavy suites, asan for the mask-engine /
-# sparse-frame suites).
+# Full local CI: the tier-1 build (warnings are errors) + test suite
+# (which includes the scenario-manifest, svc and AArch64 smoke tests
+# and the Table-1 exact-match gate); the benchmark's self-test, whose
+# helper tests link only perfbench's harness and daemon client,
+# followed by a build of the perfbench binary and the ctamemd it
+# drives, so every workload and probe compiles against src/ and a
+# library API change that breaks the benchmark fails here; and the
+# sanitizer-instrumented suites behind their ctest labels (tsan for
+# the thread-pool/campaign engine, ubsan for the RNG/bit-twiddling-
+# heavy suites, asan for the mask-engine / sparse-frame suites).
 # Host time is measured only by perfbench (perfbench/run.py).
 #
 #   scripts/check.sh            # everything
@@ -26,8 +26,8 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 step() { printf '\n=== %s ===\n' "$*"; }
 
-step "tier-1: configure + build"
-cmake -B build -S . >/dev/null
+step "tier-1: configure + build (warnings are errors)"
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$jobs"
 
 step "tier-1: ctest"

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "paging/arch.hh"
 
 namespace ctamem::cta {
 
@@ -56,44 +55,6 @@ monotonicityHolds(std::uint64_t before, std::uint64_t after)
 {
     return !reachableByDownFlips(before, after) || after <= before;
 }
-
-/**
- * @name Pointer-field-restricted forms
- *
- * The theorem only needs monotonicity of the *pointer field*, whose
- * bounds are an architecture fact: x86-64 PTEs hold it in bits
- * 12..51, ARMv8-A descriptors in bits granuleShift..47.  These
- * variants take the field bounds from the descriptor, so the screen
- * works unchanged on any backend whose PFN field is the pointer.
- */
-/** @{ */
-
-/**
- * True iff the pointer field of @p after is reachable from that of
- * @p before using only '1'->'0' flips, ignoring every non-pointer
- * descriptor bit.
- */
-constexpr bool
-pointerReachableByDownFlips(const paging::Arch &arch,
-                            std::uint64_t before, std::uint64_t after)
-{
-    const std::uint64_t mask = arch.pointerFieldMask();
-    return reachableByDownFlips(before & mask, after & mask);
-}
-
-/**
- * Monotonicity of the pointer itself: any down-flip-reachable
- * descriptor decodes to a frame number <= the original's — the
- * corrupted monotonic pointer can only move toward address zero.
- */
-constexpr bool
-pointerMonotonicityHolds(const paging::Arch &arch,
-                         std::uint64_t before, std::uint64_t after)
-{
-    return !pointerReachableByDownFlips(arch, before, after) ||
-           arch.pfn(after) <= arch.pfn(before);
-}
-/** @} */
 
 /** Result of auditing a system against the theorem's premises. */
 struct TheoremAudit

@@ -32,10 +32,8 @@ TrrSamplerObserver::onHammer(const dram::DisturbanceEvent &event)
 }
 
 void
-TrrSamplerObserver::onRef(const dram::RefEvent &event,
-                          std::vector<std::uint64_t> &refresh_rows)
+TrrSamplerObserver::onRef(std::vector<std::uint64_t> &refresh_rows)
 {
-    (void)event;
     for (const std::uint64_t aggressor : sampled_) {
         if (aggressor > 0)
             refresh_rows.push_back(aggressor - 1);

@@ -52,11 +52,7 @@ class TrrSamplerObserver : public ObserverDefense
 
     bool onHammer(const dram::DisturbanceEvent &event) override;
 
-    void onRef(const dram::RefEvent &event,
-               std::vector<std::uint64_t> &refresh_rows) override;
-
-    /** Aggressor rows currently held in the reservoir. */
-    std::size_t sampledRows() const { return sampled_.size(); }
+    void onRef(std::vector<std::uint64_t> &refresh_rows) override;
 
     std::vector<std::uint64_t>
     rngState() const override

@@ -53,10 +53,11 @@ enum class CellLayoutKind : std::uint8_t
      * the 1000:1 modules of Section 2.2.
      */
     MostlyTrue,
-    /** The mirror image: mostly anti-cells (hypothetical, Section 6.2). */
-    MostlyAnti,
-    /** Every row is a true-cell row. */
-    AllTrue,
+    /**
+     * Every row is a true-cell row.  Pinned to 4: parameterized test
+     * names print a layout's raw value.
+     */
+    AllTrue = 4,
     /** Every row is an anti-cell row. */
     AllAnti,
 };
@@ -95,13 +96,6 @@ class CellTypeMap
         return CellTypeMap(CellLayoutKind::MostlyTrue, ratio + 1);
     }
 
-    /** 1:`ratio` true:anti layout. */
-    static CellTypeMap
-    mostlyAnti(std::uint64_t ratio)
-    {
-        return CellTypeMap(CellLayoutKind::MostlyAnti, ratio + 1);
-    }
-
     static CellTypeMap
     uniform(CellType type)
     {
@@ -125,9 +119,6 @@ class CellTypeMap
           case CellLayoutKind::MostlyTrue:
             return (row % period_) == period_ - 1 ? CellType::Anti :
                                                     CellType::True;
-          case CellLayoutKind::MostlyAnti:
-            return (row % period_) == period_ - 1 ? CellType::True :
-                                                    CellType::Anti;
           case CellLayoutKind::AllTrue:
             return CellType::True;
           case CellLayoutKind::AllAnti:
@@ -135,9 +126,6 @@ class CellTypeMap
         }
         return CellType::True;
     }
-
-    CellLayoutKind kind() const { return kind_; }
-    std::uint64_t period() const { return period_; }
 
   private:
     CellLayoutKind kind_;

@@ -16,10 +16,10 @@ namespace ctamem::dram {
  * RowHammer error statistics for a DRAM module.
  *
  * pf is the probability that a given cell is vulnerable (flippable)
- * under a double-sided hammer.  Among vulnerable *true*-cells, p10True
- * flip '1'->'0' (the leak direction) and p01True flip '0'->'1' (rare
- * circuit effects such as voltage coupling).  Anti-cells mirror the
- * directions.
+ * under a double-sided hammer.  Among vulnerable *true*-cells, p01True
+ * flip '0'->'1' (rare circuit effects such as voltage coupling) and
+ * the rest, p10True(), flip '1'->'0' (the leak direction).  Anti-cells
+ * mirror the directions.
  */
 struct ErrorStats
 {
@@ -30,13 +30,7 @@ struct ErrorStats
     double p01True = 0.002;
 
     /** P('1'->'0' | vulnerable true-cell). Paper: 99.8%. */
-    double p10True = 0.998;
-
-    /** Probability a random true-cell bit can flip 0->1. */
-    double upFlipProbTrue() const { return pf * p01True; }
-
-    /** Probability a random true-cell bit can flip 1->0. */
-    double downFlipProbTrue() const { return pf * p10True; }
+    double p10True() const { return 1.0 - p01True; }
 
     /**
      * Probability a random bit in cells of @p type can flip 0->1.
@@ -46,21 +40,21 @@ struct ErrorStats
     double
     upFlipProb(CellType type) const
     {
-        return type == CellType::True ? pf * p01True : pf * p10True;
+        return type == CellType::True ? pf * p01True : pf * p10True();
     }
 
     /** Probability a random bit in cells of @p type can flip 1->0. */
     double
     downFlipProb(CellType type) const
     {
-        return type == CellType::True ? pf * p10True : pf * p01True;
+        return type == CellType::True ? pf * p10True() : pf * p01True;
     }
 
     /** The paper's pessimistic technology-scaling scenario (Table 3). */
     static ErrorStats
     pessimistic()
     {
-        return ErrorStats{5e-4, 0.005, 0.995};
+        return ErrorStats{5e-4, 0.005};
     }
 };
 

@@ -3,7 +3,12 @@
 #include <cmath>
 
 #if defined(__x86_64__) && defined(__GNUC__)
+// GCC 12 flags the deliberately undefined register inside
+// _mm512_srli_epi64 as maybe-uninitialized wherever it inlines.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #define CTAMEM_HAVE_AVX512_SCAN 1
 #endif
 

@@ -10,24 +10,16 @@
  * real module's flippable bits are a fixed physical property, and the
  * attacks we reproduce rely on exactly that.
  *
- * Two access granularities share one definition of the properties:
- *
- *  - scalar accessors (vulnerable / flipDirection / tripThreshold /
- *    retentionTime) answer for a single (addr, bit) cell; and
- *  - word accessors (vulnMaskWord / flipDirMaskWord) answer for the
- *    64 cells backing 8 consecutive bytes at once, bit k of the mask
- *    describing cell (addr + k/8, k%8) — the layout of a
- *    little-endian 64-bit load, so masks AND/XOR directly against
- *    SparseStore::readU64() words.
- *
- * The word accessors are *bit-identical* to 64 scalar calls: both
- * paths hoist the per-salt stableHash prefix into a precomputed base
- * (two splitmix64 rounds per cell instead of three) and compare the
- * raw 53-bit hash against an integer threshold.  Multiplying a
- * probability by 2^53 is exact (power-of-two scaling), so
- * `hash01(...) < p` and the integer compare agree for every hash
- * value.  The hammer engine keeps each vulnerable cell's raw trip
- * hash (tripHash) for the same reason.
+ * The scalar accessors (vulnerable / flipDirection / tripThreshold /
+ * tripHash / retentionTime) answer for a single (addr, bit) cell.  One
+ * bulk scan, vulnMaskRow, answers vulnerable() for every cell of a row
+ * at once, because a row profile must test them all.  Both hoist the
+ * per-salt stableHash prefix into a precomputed base (two splitmix64
+ * rounds per cell instead of three) and compare the raw 53-bit hash
+ * against an integer threshold.  Multiplying a probability by 2^53 is
+ * exact (power-of-two scaling), so `hash01(...) < p` and the integer
+ * compare agree for every hash value.  The hammer engine keeps each
+ * vulnerable cell's raw trip hash (tripHash) for the same reason.
  */
 
 #ifndef CTAMEM_DRAM_FAULT_MODEL_HH
@@ -56,7 +48,7 @@ class FaultModel
           thrBase_(saltBase(seed, saltThreshold)),
           retBase_(saltBase(seed, saltRetention)),
           vulnLt_(strictThreshold(stats.pf)),
-          dirLt_(strictThreshold(stats.p10True))
+          dirLt_(strictThreshold(stats.p10True()))
     {}
 
     const ErrorStats &stats() const { return stats_; }
@@ -72,7 +64,7 @@ class FaultModel
     /**
      * Flip direction of a *vulnerable* cell that sits in a row of
      * cell type @p type.  In true-cell rows the dominant direction is
-     * '1'->'0' (probability p10True); the rare opposite direction
+     * '1'->'0' (probability p10True()); the rare opposite direction
      * models circuit effects such as voltage coupling.  Anti-cell rows
      * mirror the distribution.
      */
@@ -124,43 +116,15 @@ class FaultModel
     SimTime retentionTime(Addr addr, unsigned bit,
                           double celsius = 20.0) const;
 
-    /** @name Word-granular accessors (64 cells per call)
-     *
-     * Each mask describes the cells backing the 8 bytes at
-     * [@p addr, @p addr + 8): bit k corresponds to cell
-     * (addr + k/8, k%8), matching bit k of a little-endian u64 load
-     * of those bytes.  @p lanes restricts the work to the set bits
-     * (cleared lanes come back 0 and cost nothing); the default
-     * computes all 64 and is bit-identical to 64 scalar calls.
-     */
-    /** @{ */
-    /** Bit k set iff cell k is RowHammer-vulnerable. */
-    std::uint64_t
-    vulnMaskWord(Addr addr, std::uint64_t lanes = ~0ULL) const
-    {
-        return maskLt(vulnBase_, addr * 8, vulnLt_, lanes);
-    }
-
-    /** Bit k set iff vulnerable cell k flips '1'->'0' under @p type. */
-    std::uint64_t
-    flipDirMaskWord(Addr addr, CellType type,
-                    std::uint64_t lanes = ~0ULL) const
-    {
-        const std::uint64_t dominant =
-            maskLt(dirBase_, addr * 8, dirLt_, lanes);
-        // True cells: dominant leak is '1'->'0'; anti-cells mirror.
-        return type == CellType::True ? dominant : (lanes & ~dominant);
-    }
-
     /**
-     * Bulk scan: vulnerability masks for @p words consecutive 8-byte
-     * words starting at @p addr (one row worth in the hammer engine).
-     * Uses the AVX-512 lane kernel when the CPU has one; always
-     * bit-identical to vulnMaskWord() per word.
+     * Bulk scan: vulnerable() for the 64 * @p words cells backing
+     * [@p addr, @p addr + 8 * @p words) — bit k of out[w] is cell
+     * (addr + w * 8 + k / 8, k % 8), the layout of a little-endian
+     * u64 load.  Uses the AVX-512 lane kernel when the CPU has one;
+     * always bit-identical to the scalar calls.
      */
     void vulnMaskRow(Addr addr, std::size_t words,
                      std::uint64_t *out) const;
-    /** @} */
 
   private:
     // Salts keep the independent per-cell properties decorrelated.
@@ -219,21 +183,6 @@ class FaultModel
         const auto floor53 = static_cast<std::uint64_t>(scaled);
         return static_cast<double>(floor53) < scaled ? floor53 + 1 :
                                                        floor53;
-    }
-
-    /** Mask of lanes with cellHash < @p lt (strict compare). */
-    std::uint64_t
-    maskLt(std::uint64_t base, std::uint64_t idx0, std::uint64_t lt,
-           std::uint64_t lanes) const
-    {
-        std::uint64_t mask = 0;
-        for (std::uint64_t rest = lanes; rest; rest &= rest - 1) {
-            const unsigned k = std::countr_zero(rest);
-            mask |= static_cast<std::uint64_t>(
-                        cellHash(base, idx0 + k) < lt)
-                    << k;
-        }
-        return mask;
     }
 
     std::uint64_t seed_;

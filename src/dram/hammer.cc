@@ -49,19 +49,16 @@ buildProfile(const FaultModel &faults, Addr base, CellType type,
     profile->cellBits.reserve(cells);
     profile->cellTrips.reserve(cells);
     for (std::size_t w = 0; w < row_words; ++w) {
-        const std::uint64_t vuln = scratch[w];
-        if (!vuln)
-            continue;
-        const Addr waddr = base + w * 8;
-        const std::uint64_t dir10 =
-            faults.flipDirMaskWord(waddr, type, vuln);
-        for (std::uint64_t rest = vuln; rest; rest &= rest - 1) {
+        for (std::uint64_t rest = scratch[w]; rest; rest &= rest - 1) {
             const unsigned k = std::countr_zero(rest);
+            const Addr addr = base + w * 8 + k / 8;
+            const bool dir10 = faults.flipDirection(addr, k % 8, type) ==
+                               FlipDirection::OneToZero;
             profile->cellBits.push_back(
                 static_cast<std::uint32_t>(w * 64 + k));
             profile->cellTrips.push_back(
-                faults.tripHash(waddr + k / 8, k % 8) |
-                ((dir10 >> k) & 1 ? RowVulnProfile::kDir10 : 0));
+                faults.tripHash(addr, k % 8) |
+                (dir10 ? RowVulnProfile::kDir10 : 0));
         }
     }
     return profile;
@@ -101,7 +98,7 @@ class ProfileCache
         const Key key{faults.seed(),
                       std::bit_cast<std::uint64_t>(faults.stats().pf),
                       std::bit_cast<std::uint64_t>(
-                          faults.stats().p10True),
+                          faults.stats().p10True()),
                       row_bytes, base, type};
         Shard &shard = shards_[KeyHash{}(key) % kShards];
         {
@@ -248,14 +245,6 @@ profileCacheSetCapacity(std::size_t max_entries)
     ProfileCache::instance().setCapacity(max_entries);
 }
 
-std::uint64_t
-DisturbanceEvent::vulnerableCellsIn(std::uint64_t device_row) const
-{
-    if (!engine)
-        return 0;
-    return engine->rowProfile(bank, device_row).vulnerableCells();
-}
-
 const RowVulnProfile &
 RowHammerEngine::rowProfile(std::uint64_t bank,
                             std::uint64_t device_row)
@@ -337,11 +326,7 @@ RowHammerEngine::hammerRow(std::uint64_t bank, std::uint64_t row)
     const bool above = aggressor + 1 < rows;
 
     if (observer_) {
-        const DisturbanceEvent event{
-            bank, aggressor, activationsPerPass,
-            below ? aggressor - 1 : aggressor,
-            above ? aggressor + 1 : aggressor, this};
-        if (observer_->onHammer(event)) {
+        if (observer_->onHammer({bank, aggressor, activationsPerPass})) {
             result.suppressed = true;
             stats_.at(suppressedPassesId_).increment();
             return result;
@@ -382,21 +367,12 @@ RowHammerEngine::hammerDoubleSided(std::uint64_t bank,
 
     bool suppressed = false;
     if (observer_) {
-        // One event per aggressor; the span covers every row the
-        // pair can disturb (the outer neighbours see single-sided
-        // intensity).
-        const std::uint64_t first = victim >= 2 ? victim - 2 :
-                                                  victim - 1;
-        const std::uint64_t last = victim + 2 < rows ? victim + 2 :
-                                                       victim + 1;
-        const DisturbanceEvent lower{bank, victim - 1,
-                                     activationsPerPass, first, last,
-                                     this};
-        const DisturbanceEvent upper{bank, victim + 1,
-                                     activationsPerPass, first, last,
-                                     this};
-        suppressed |= observer_->onHammer(lower);
-        suppressed |= observer_->onHammer(upper);
+        // One event per aggressor, and both are announced: a
+        // stochastic observer draws for each.
+        suppressed |=
+            observer_->onHammer({bank, victim - 1, activationsPerPass});
+        suppressed |=
+            observer_->onHammer({bank, victim + 1, activationsPerPass});
     }
     if (suppressed) {
         result.suppressed = true;
@@ -437,16 +413,11 @@ RowHammerEngine::activate(std::uint64_t bank, std::uint64_t row,
     const bool above = aggressor + 1 < rows;
 
     if (observer_) {
-        DisturbanceEvent event;
-        event.bank = bank;
-        event.aggressorRow = aggressor;
-        event.activations = activations;
-        event.victimFirst = below ? aggressor - 1 : aggressor;
-        event.victimLast = above ? aggressor + 1 : aggressor;
-        event.engine = this;
-        event.refInterval = refInterval_;
-        event.phase = phase;
-        event.timed = true;
+        const DisturbanceEvent event{.bank = bank,
+                                     .aggressorRow = aggressor,
+                                     .activations = activations,
+                                     .phase = phase,
+                                     .timed = true};
         if (observer_->onHammer(event)) {
             result.suppressed = true;
             stats_.at(suppressedPassesId_).increment();
@@ -518,10 +489,8 @@ RowHammerEngine::refTick(std::uint64_t bank, HammerResult &result)
     stats_.at(refTicksId_).increment();
 
     trrScratch_.clear();
-    if (observer_) {
-        const RefEvent event{bank, refInterval_, this};
-        observer_->onRef(event, trrScratch_);
-    }
+    if (observer_)
+        observer_->onRef(trrScratch_);
     // Every targeted refresh counts; a row past the bank end has no
     // pressure to clear.
     stats_.at(trrRefreshesId_).increment(trrScratch_.size());

@@ -57,8 +57,6 @@
 
 namespace ctamem::dram {
 
-class RowHammerEngine;
-
 /**
  * Geometry of the simulated refresh clock driving the timed hammer
  * path.  Defaults follow JEDEC shape: a 64 ms retention window split
@@ -100,57 +98,17 @@ struct HammerResult
 
 /**
  * One burst of activations on an aggressor row, as seen by a
- * mitigation.  Replaces the old positional (bank, row, activations,
- * victims-vector) callback with one extensible struct: defenses that
- * only count activations read three fields, row-aware defenses get
- * the disturbed device-row span, and per-row vulnerability summaries
- * are available lazily through the engine back-pointer without the
- * hot path paying for them.
+ * mitigation.  Untimed whole-window passes leave phase zero with timed
+ * false.  Observers learn the tREFI interval of a timed burst by
+ * counting their onRef() calls.
  */
 struct DisturbanceEvent
 {
     std::uint64_t bank = 0;
     std::uint64_t aggressorRow = 0; //!< device row being activated
     std::uint64_t activations = 0;
-    /**
-     * Device rows that may be disturbed by this pass, inclusive and
-     * clamped to the bank.  The span contains the aggressor row
-     * itself (which is refreshed by its own activations, not
-     * disturbed); a double-sided pass reports the full
-     * [victim-2, victim+2] reach of its aggressor pair.
-     */
-    std::uint64_t victimFirst = 0;
-    std::uint64_t victimLast = 0;
-    /** Issuing engine, or null for synthetic events in tests. */
-    RowHammerEngine *engine = nullptr;
-
-    /** @name Timed-path fields (RowHammerEngine::activate)
-     *
-     * Bursts issued against the refresh clock report which tREFI
-     * interval they landed in and their issue order within it — the
-     * coordinates in-DRAM TRR samplers key their sampling window on.
-     * Untimed whole-window passes leave them zero with timed false.
-     */
-    /** @{ */
-    std::uint64_t refInterval = 0; //!< tREFI index of the burst
-    std::uint64_t phase = 0;       //!< burst position in the interval
-    bool timed = false;            //!< true for REF-clocked bursts
-    /** @} */
-
-    /**
-     * Vulnerable-cell count of @p device_row (0 without an engine) —
-     * the per-row summary row-aware defenses rank victims by.
-     */
-    std::uint64_t vulnerableCellsIn(std::uint64_t device_row) const;
-};
-
-/** One REF command being retired on the timed hammer path. */
-struct RefEvent
-{
-    std::uint64_t bank = 0;
-    std::uint64_t interval = 0; //!< tREFI index being retired
-    /** Issuing engine, or null for synthetic events in tests. */
-    RowHammerEngine *engine = nullptr;
+    std::uint64_t phase = 0; //!< timed: burst position in its interval
+    bool timed = false;      //!< true for REF-clocked bursts
 };
 
 /** Hook for RowHammer mitigations; one call per aggressor burst. */
@@ -173,12 +131,7 @@ class DisturbanceObserver
      * accumulated disturbance pressure.  Default: no targeted
      * refreshes.
      */
-    virtual void
-    onRef(const RefEvent &event, std::vector<std::uint64_t> &refresh_rows)
-    {
-        (void)event;
-        (void)refresh_rows;
-    }
+    virtual void onRef(std::vector<std::uint64_t> & /*refresh_rows*/) {}
 };
 
 /**
@@ -276,11 +229,6 @@ class RowHammerEngine
             stats_.registerCounter("timedActivations");
         refTicksId_ = stats_.registerCounter("refTicks");
         trrRefreshesId_ = stats_.registerCounter("trrRefreshes");
-    }
-
-    void setObserver(DisturbanceObserver *observer)
-    {
-        observer_ = observer;
     }
 
     /** The module this engine disturbs. */

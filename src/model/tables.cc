@@ -82,7 +82,6 @@ mcSweepSpecs(const std::vector<TableRow> &rows, double pf,
         spec.params.ptpBytes = row.ptpBytes;
         spec.params.errors.pf = pf;
         spec.params.errors.p01True = 0.3;
-        spec.params.errors.p10True = 0.7;
         spec.sampler = sampler;
         spec.zeros = row.restricted ? 2 : 1;
         spec.trials = trials;

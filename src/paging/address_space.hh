@@ -82,12 +82,6 @@ class AddressSpace
     /** Remove the mapping at @p vaddr. @return true if one existed. */
     bool unmap(VAddr vaddr);
 
-    /** All table pages (excluding the root) this space allocated. */
-    const std::vector<TableRecord> &tablePages() const
-    {
-        return tables_;
-    }
-
     /** Total table pages including the root. */
     std::uint64_t
     tablePageCount() const

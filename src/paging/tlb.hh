@@ -79,7 +79,6 @@ class Tlb
     std::size_t ways() const { return ways_; }
     std::size_t sets() const { return sets_; }
     std::size_t capacity() const { return sets_ * ways_; }
-    unsigned pageShiftBits() const { return pageShift_; }
 
     /** Counters: hits, misses, evictions, flushes. */
     StatGroup &stats() { return stats_; }

@@ -74,8 +74,6 @@ class ResultCache
 
     CacheStats stats() const;
 
-    const std::string &diskDir() const { return diskDir_; }
-
   private:
     /** Front-insert into the LRU, evicting at capacity.  Caller
      *  holds the mutex. */

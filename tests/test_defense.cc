@@ -19,7 +19,7 @@ TEST(Para, SuppressesEssentiallyEveryPass)
     ParaObserver para(0.001);
     unsigned suppressed = 0;
     for (int i = 0; i < 100; ++i) {
-        if (para.onHammer({0, 10, 1'300'000, 9, 11}))
+        if (para.onHammer({0, 10, 1'300'000}))
             ++suppressed;
     }
     // 1 - (1 - 0.001)^1.3e6 is indistinguishable from 1.
@@ -34,7 +34,7 @@ TEST(Para, TinyProbabilityLeaks)
     ParaObserver para(1e-7);
     unsigned leaked = 0;
     for (int i = 0; i < 200; ++i) {
-        if (!para.onHammer({0, 10, 1'300'000, 9, 11}))
+        if (!para.onHammer({0, 10, 1'300'000}))
             ++leaked;
     }
     EXPECT_GT(leaked, 100u);
@@ -46,7 +46,7 @@ TEST(RefreshBoost, SuppressesAllButOneInK)
     unsigned leaked = 0;
     const unsigned passes = 4000;
     for (unsigned i = 0; i < passes; ++i) {
-        if (!boost.onHammer({0, 5, 1'300'000, 4, 6}))
+        if (!boost.onHammer({0, 5, 1'300'000}))
             ++leaked;
     }
     // ~1/4 of passes still land: no guarantee, just slowdown.
@@ -58,7 +58,7 @@ TEST(Anvil, DetectsSustainedHammering)
     AnvilObserver anvil(2'000'000, 8);
     bool detected = false;
     for (int i = 0; i < 4 && !detected; ++i)
-        detected = anvil.onHammer({0, 7, 1'300'000, 6, 8});
+        detected = anvil.onHammer({0, 7, 1'300'000});
     EXPECT_TRUE(detected);
     EXPECT_TRUE(anvil.triggered());
     EXPECT_GT(anvil.detections(), 0u);
@@ -72,7 +72,7 @@ TEST(Anvil, WindowDecayForgetsSlowActivity)
     for (int i = 0; i < 16; ++i)
         detected |= anvil.onHammer(
             {0, static_cast<std::uint64_t>(100 + (i % 2) * 50),
-             900'000, 99, 101});
+             900'000});
     EXPECT_FALSE(detected);
 }
 
@@ -92,23 +92,23 @@ TEST(SoftTrr, RefreshesRowsPastTheThreshold)
     SoftTrrObserver trr(1'000'000, 8);
     // The first full-strength pass crosses the 1M threshold: the
     // counter trips and the pass is mitigated.
-    EXPECT_TRUE(trr.onHammer({0, 10, 1'300'000, 9, 11}));
+    EXPECT_TRUE(trr.onHammer({0, 10, 1'300'000}));
     EXPECT_EQ(trr.mitigations(), 1u);
     // A weak pass under the threshold sails through...
-    EXPECT_FALSE(trr.onHammer({0, 20, 400'000, 19, 21}));
+    EXPECT_FALSE(trr.onHammer({0, 20, 400'000}));
     // ...but accumulates: two more and row 20 trips too.
-    EXPECT_FALSE(trr.onHammer({0, 20, 400'000, 19, 21}));
-    EXPECT_TRUE(trr.onHammer({0, 20, 400'000, 19, 21}));
+    EXPECT_FALSE(trr.onHammer({0, 20, 400'000}));
+    EXPECT_TRUE(trr.onHammer({0, 20, 400'000}));
 }
 
 TEST(SoftTrr, BoundedTableEvictsColdestRow)
 {
     SoftTrrObserver trr(1'000'000, 2);
-    trr.onHammer({0, 1, 500'000, 0, 2});
-    trr.onHammer({0, 2, 600'000, 1, 3});
+    trr.onHammer({0, 1, 500'000});
+    trr.onHammer({0, 2, 600'000});
     EXPECT_EQ(trr.trackedRows(), 2u);
     // A third row recycles the coldest slot (row 1).
-    trr.onHammer({0, 3, 100'000, 2, 4});
+    trr.onHammer({0, 3, 100'000});
     EXPECT_EQ(trr.trackedRows(), 2u);
     EXPECT_EQ(trr.evictions(), 1u);
 }

@@ -143,7 +143,6 @@ TEST(MonteCarlo, UniformPointerIsBelowPaperFormula)
     SystemParams params = paperBaseline();
     params.errors.pf = 0.05;
     params.errors.p01True = 0.3;
-    params.errors.p10True = 0.7;
     const McEstimate mc = runMc(McSpec{
         .params = params, .sampler = Sampler::UniformBatched,
         .trials = 200'000});
@@ -171,7 +170,6 @@ boostedParams()
     SystemParams params = paperBaseline();
     params.errors.pf = 0.05;
     params.errors.p01True = 0.3;
-    params.errors.p10True = 0.7;
     return params;
 }
 
@@ -263,8 +261,8 @@ TEST(SecurityModel, ClosedFormHelpersMatchDefinitions)
 {
     const SystemParams params = boostedParams();
     const unsigned n = params.indicatorBits();
-    const double p_up = params.errors.upFlipProbTrue();
-    const double p_down = params.errors.downFlipProbTrue();
+    const double p_up = params.errors.upFlipProb(dram::CellType::True);
+    const double p_down = params.errors.downFlipProb(dram::CellType::True);
     for (unsigned zeros : {1u, 2u, n}) {
         const double expect =
             std::pow(p_up, zeros) *

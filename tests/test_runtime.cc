@@ -116,7 +116,6 @@ boostedSpec()
     McSpec spec;
     spec.params.errors.pf = 0.05;
     spec.params.errors.p01True = 0.3;
-    spec.params.errors.p10True = 0.7;
     spec.zeros = 1;
     spec.trials = 100'000;
     spec.chunkSize = 4'096;
