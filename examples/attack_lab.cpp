@@ -279,7 +279,7 @@ runSingle(const sim::MachineConfig &config, AttackKind attack)
     if (machine.observer()) {
         std::cout << "mitigations:    "
                   << machine.observer()->mitigations() << " ("
-                  << machine.observer()->name() << ")\n";
+                  << defense::defenseName(config.defense) << ")\n";
     }
     const cta::TheoremAudit audit = machine.kernel().auditTheorem();
     if (machine.kernel().ptpLayout()) {

@@ -6,9 +6,9 @@
 # followed by a build of the perfbench binary and the ctamemd it
 # drives, so every workload and probe compiles against src/ and a
 # library API change that breaks the benchmark fails here; and the
-# sanitizer-instrumented suites behind their ctest labels (tsan for
-# the thread-pool/campaign engine, ubsan for the RNG/bit-twiddling-
-# heavy suites, asan for the mask-engine / sparse-frame suites).
+# sanitizer-instrumented suites behind their ctest labels (nearly
+# every suite runs under ubsan and asan; tsan covers the thread-pool,
+# campaign and service suites).
 # Host time is measured only by perfbench (perfbench/run.py).
 #
 #   scripts/check.sh            # everything
@@ -44,17 +44,17 @@ if [[ "$fast" == 1 ]]; then
     exit 0
 fi
 
-step "tsan: thread-pool / campaign suites"
+step "tsan: thread-pool / campaign / service suites"
 cmake -B build-tsan -S . -DCTAMEM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs"
 (cd build-tsan && ctest --output-on-failure -L tsan -j "$jobs")
 
-step "ubsan: RNG / bit-manipulation suites"
+step "ubsan: nearly every suite and the self-checking benches"
 cmake -B build-ubsan -S . -DCTAMEM_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$jobs"
 (cd build-ubsan && ctest --output-on-failure -L ubsan -j "$jobs")
 
-step "asan: mask-engine / sparse-frame suites"
+step "asan: nearly every suite"
 cmake -B build-asan -S . -DCTAMEM_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$jobs"
 (cd build-asan && ctest --output-on-failure -L asan -j "$jobs")

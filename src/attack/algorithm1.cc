@@ -5,7 +5,6 @@
 #include "attack/exploit.hh"
 #include "common/bitops.hh"
 #include "common/log.hh"
-#include "cta/theorem.hh"
 #include "paging/arch.hh"
 
 namespace ctamem::attack {

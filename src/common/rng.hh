@@ -15,7 +15,6 @@
 #ifndef CTAMEM_COMMON_RNG_HH
 #define CTAMEM_COMMON_RNG_HH
 
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -253,28 +252,6 @@ class Rng
         }
         return static_cast<std::uint64_t>(m >> 64);
     }
-
-    /** @name State capture (machine snapshot/restore)
-     *
-     * The four xoshiro256** words, exactly as they stand: setState
-     * of a captured state resumes the stream at the very next draw,
-     * which is what lets a machine snapshot freeze its observer
-     * streams mid-flight.
-     */
-    /** @{ */
-    std::array<std::uint64_t, 4>
-    state() const
-    {
-        return {state_[0], state_[1], state_[2], state_[3]};
-    }
-
-    void
-    setState(const std::array<std::uint64_t, 4> &state)
-    {
-        for (int i = 0; i < 4; ++i)
-            state_[i] = state[i];
-    }
-    /** @} */
 
   private:
     /** p in (0, 1) as a 64-bit binary fraction. */

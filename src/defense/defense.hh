@@ -15,11 +15,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "dram/hammer.hh"
 
@@ -61,22 +58,8 @@ class ObserverDefense : public dram::DisturbanceObserver
   public:
     ~ObserverDefense() override = default;
 
-    virtual const char *name() const = 0;
-
     /** Mitigation events (victim refreshes) performed. */
     std::uint64_t mitigations() const { return mitigations_; }
-
-    /** @name RNG state capture (machine snapshots)
-     *
-     * Stochastic observers (PARA, refresh boosting) expose their
-     * generator words so a restored machine resumes the exact random
-     * stream of the machine it was snapshotted from.  Deterministic
-     * observers return an empty vector and ignore restores.
-     */
-    /** @{ */
-    virtual std::vector<std::uint64_t> rngState() const { return {}; }
-    virtual void setRngState(const std::vector<std::uint64_t> &) {}
-    /** @} */
 
   protected:
     std::uint64_t mitigations_ = 0;

@@ -30,12 +30,7 @@ class ParaObserver : public ObserverDefense
         : probability_(probability), rng_(seed)
     {}
 
-    const char *name() const override { return "PARA"; }
-
     bool onHammer(const dram::DisturbanceEvent &event) override;
-
-    std::vector<std::uint64_t> rngState() const override;
-    void setRngState(const std::vector<std::uint64_t> &state) override;
 
   private:
     double probability_;
@@ -58,12 +53,7 @@ class RefreshBoostObserver : public ObserverDefense
         : factor_(factor ? factor : 1), rng_(seed)
     {}
 
-    const char *name() const override { return "RefreshBoost"; }
-
     bool onHammer(const dram::DisturbanceEvent &event) override;
-
-    std::vector<std::uint64_t> rngState() const override;
-    void setRngState(const std::vector<std::uint64_t> &state) override;
 
   private:
     unsigned factor_;
@@ -85,8 +75,6 @@ class AnvilObserver : public ObserverDefense
                            std::uint64_t window_passes = 8)
         : threshold_(threshold), windowPasses_(window_passes)
     {}
-
-    const char *name() const override { return "ANVIL"; }
 
     bool onHammer(const dram::DisturbanceEvent &event) override;
 

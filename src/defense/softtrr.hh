@@ -43,8 +43,6 @@ class SoftTrrObserver : public ObserverDefense
           maxTracked_(max_tracked ? max_tracked : 1)
     {}
 
-    const char *name() const override { return "SoftTRR"; }
-
     bool onHammer(const dram::DisturbanceEvent &event) override;
 
     /** Rows currently holding a counter slot. */

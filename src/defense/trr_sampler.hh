@@ -48,26 +48,9 @@ class TrrSamplerObserver : public ObserverDefense
         sampled_.reserve(samplers_);
     }
 
-    const char *name() const override { return "TRR-sampler"; }
-
     bool onHammer(const dram::DisturbanceEvent &event) override;
 
     void onRef(std::vector<std::uint64_t> &refresh_rows) override;
-
-    std::vector<std::uint64_t>
-    rngState() const override
-    {
-        const auto words = rng_.state();
-        return {words.begin(), words.end()};
-    }
-
-    void
-    setRngState(const std::vector<std::uint64_t> &state) override
-    {
-        if (state.size() != 4)
-            return;
-        rng_.setState({state[0], state[1], state[2], state[3]});
-    }
 
   private:
     unsigned samplers_; //!< reservoir slots

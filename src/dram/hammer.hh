@@ -283,9 +283,6 @@ class RowHammerEngine
     void setRefTiming(const RefTiming &timing) { refTiming_ = timing; }
     const RefTiming &refTiming() const { return refTiming_; }
 
-    /** tREFI intervals retired so far (the current interval index). */
-    std::uint64_t refInterval() const { return refInterval_; }
-
     /**
      * Issue @p activations activations of logical row @p row within
      * the current tREFI interval, as burst number @p phase of that

@@ -10,9 +10,9 @@
  * lets sequential and page-local accesses — page walks hammering the
  * same table frames, streaming workloads — skip the hash lookup, and
  * the word accessors memcpy within a frame instead of going through
- * the byte-wise span loop.  Frame storage is heap-allocated per page,
- * so the cached pointer stays valid across map rehashes; only clear()
- * invalidates it.
+ * the byte-wise span loop.  Frame storage is heap-allocated per page
+ * and never freed, so the cached pointer stays valid across map
+ * rehashes.
  */
 
 #ifndef CTAMEM_DRAM_SPARSE_STORE_HH
@@ -110,15 +110,6 @@ class SparseStore
 
     /** Frame numbers of all materialized frames (unordered). */
     std::vector<Pfn> touchedFrames() const;
-
-    /** Drop every materialized frame (memory returns to fill value). */
-    void
-    clear()
-    {
-        frames_.clear();
-        cachedPfn_ = invalidPfn;
-        cachedFrame_ = nullptr;
-    }
 
   private:
     using Frame = std::unique_ptr<std::uint8_t[]>;

@@ -219,12 +219,6 @@ class Kernel
     Addr kernelSecretAddr() const { return secretAddr_; }
     /** @} */
 
-    /** @name Simulated time */
-    /** @{ */
-    SimTime now() const { return now_; }
-    void advance(SimTime dt) { now_ += dt; }
-    /** @} */
-
     /** Counters: pageFaults, pteAllocs, pteAllocFailures, ... */
     StatGroup &stats() { return stats_; }
 
@@ -268,7 +262,6 @@ class Kernel
 
     Addr secretAddr_ = 0;
 
-    SimTime now_ = 0;
     StatGroup stats_;
 
     /** Interned handles for the per-fault / per-syscall counters. */

@@ -1,6 +1,5 @@
 #include "svc/snapshot.hh"
 
-#include <algorithm>
 #include <string>
 
 #include "common/log.hh"
@@ -33,17 +32,10 @@ class Writer
     }
 
     void
-    raw(const void *data, std::size_t size)
-    {
-        const auto *bytes = static_cast<const std::uint8_t *>(data);
-        bytes_.insert(bytes_.end(), bytes, bytes + size);
-    }
-
-    void
     str(const std::string &value)
     {
         u32(static_cast<std::uint32_t>(value.size()));
-        raw(value.data(), value.size());
+        bytes_.insert(bytes_.end(), value.begin(), value.end());
     }
 
     std::vector<std::uint8_t>
@@ -98,17 +90,6 @@ class Reader
         return value;
     }
 
-    std::vector<std::uint8_t>
-    bytes(std::size_t size)
-    {
-        need(size);
-        std::vector<std::uint8_t> value(data_ + pos_,
-                                        data_ + pos_ + size);
-        pos_ += size;
-        return value;
-    }
-
-    std::size_t pos() const { return pos_; }
     std::size_t remaining() const { return size_ - pos_; }
 
   private:
@@ -130,49 +111,25 @@ MachineSnapshot
 captureSnapshot(sim::Machine &machine)
 {
     kernel::Kernel &kernel = machine.kernel();
-    if (kernel.processCount() != 0 || !kernel.pageTableFrames().empty()) {
+    const StatGroup &engine = machine.engine().stats();
+    if (kernel.processCount() != 0 || !kernel.pageTableFrames().empty() ||
+        engine.value("passes") != 0 ||
+        engine.value("timedActivations") != 0 ||
+        engine.value("refTicks") != 0) {
         fatal("captureSnapshot: only a freshly booted machine can be "
               "snapshotted (", kernel.processCount(), " processes, ",
-              kernel.pageTableFrames().size(),
-              " page-table frames live)");
+              kernel.pageTableFrames().size(), " page-table frames, ",
+              engine.value("passes"), " hammer passes, ",
+              engine.value("timedActivations"), " timed activations, ",
+              engine.value("refTicks"), " REF ticks)");
     }
-    MachineSnapshot snapshot;
-    snapshot.config = machine.config();
-    snapshot.simTime = kernel.now();
-    if (defense::ObserverDefense *observer = machine.observer())
-        snapshot.observerRng = observer->rngState();
-
-    const dram::SparseStore &store = machine.dram().store();
-    std::vector<Pfn> pfns = store.touchedFrames();
-    std::sort(pfns.begin(), pfns.end());
-    snapshot.frames.reserve(pfns.size());
-    for (const Pfn pfn : pfns) {
-        MachineSnapshot::Frame frame;
-        frame.pfn = pfn;
-        frame.bytes.resize(pageSize);
-        store.read(pfnToAddr(pfn), frame.bytes.data(), pageSize);
-        snapshot.frames.push_back(std::move(frame));
-    }
-    return snapshot;
+    return {machine.config()};
 }
 
 std::unique_ptr<sim::Machine>
 restoreMachine(const MachineSnapshot &snapshot)
 {
-    auto machine = std::make_unique<sim::Machine>(snapshot.config);
-    dram::SparseStore &store = machine->dram().store();
-    store.clear();
-    for (const MachineSnapshot::Frame &frame : snapshot.frames) {
-        store.write(pfnToAddr(frame.pfn), frame.bytes.data(),
-                    frame.bytes.size());
-    }
-    if (!snapshot.observerRng.empty()) {
-        if (defense::ObserverDefense *observer = machine->observer())
-            observer->setRngState(snapshot.observerRng);
-    }
-    // A cold boot starts at time 0.
-    machine->kernel().advance(snapshot.simTime);
-    return machine;
+    return std::make_unique<sim::Machine>(snapshot.config);
 }
 
 std::vector<std::uint8_t>
@@ -182,18 +139,6 @@ serialize(const MachineSnapshot &snapshot)
     writer.u64(kMagic);
     writer.u32(kSnapshotVersion);
     writer.str(sim::toJson(snapshot.config).dump());
-    writer.u64(snapshot.simTime);
-
-    writer.u32(static_cast<std::uint32_t>(
-        snapshot.observerRng.size()));
-    for (const std::uint64_t word : snapshot.observerRng)
-        writer.u64(word);
-
-    writer.u32(static_cast<std::uint32_t>(snapshot.frames.size()));
-    for (const MachineSnapshot::Frame &frame : snapshot.frames) {
-        writer.u64(frame.pfn);
-        writer.raw(frame.bytes.data(), frame.bytes.size());
-    }
     return writer.finish();
 }
 
@@ -230,22 +175,6 @@ deserialize(const std::uint8_t *data, std::size_t size)
     } catch (const json::JsonError &err) {
         throw SnapshotError(std::string("snapshot config: ") +
                             err.what());
-    }
-
-    snapshot.simTime = reader.u64();
-
-    const std::uint32_t rngWords = reader.u32();
-    snapshot.observerRng.reserve(rngWords);
-    for (std::uint32_t i = 0; i < rngWords; ++i)
-        snapshot.observerRng.push_back(reader.u64());
-
-    const std::uint32_t frameCount = reader.u32();
-    snapshot.frames.reserve(frameCount);
-    for (std::uint32_t i = 0; i < frameCount; ++i) {
-        MachineSnapshot::Frame frame;
-        frame.pfn = reader.u64();
-        frame.bytes = reader.bytes(pageSize);
-        snapshot.frames.push_back(std::move(frame));
     }
 
     if (reader.remaining() != 0)

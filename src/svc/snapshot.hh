@@ -2,18 +2,19 @@
  * @file
  * Machine snapshot/restore.
  *
- * A snapshot captures a freshly booted machine — its MachineConfig,
- * sim time, observer RNG state and materialized SparseStore frames —
- * into a versioned, checksummed binary blob.  A machine is a pure
- * function of its config, so restoring cold-boots the stored config
- * and writes the rest back; attack runs on the restored machine are
- * bit-identical to runs on a cold boot (property-tested).
+ * A freshly booted machine is a pure function of its MachineConfig:
+ * its DRAM frames, its ZONE_PTP layout and its observer RNG streams
+ * (seeded from config.seed) all follow from it.  A snapshot is
+ * therefore the config alone, in a versioned, checksummed binary
+ * blob, and restoring cold-boots it; attack runs on the restored
+ * machine are bit-identical to runs on a cold boot (property-tested).
  *
  * ctamemd cold-boots every cache miss and never snapshots; perfbench
  * still times a capture and a restore (`svc.snapshot_*_ms`).
  *
- * Snapshots are only taken post-boot, before any process exists:
- * the blob deliberately carries no process, VMA or page-table state.
+ * Snapshots are only taken post-boot: the blob carries no process,
+ * page-table, hammer or observer state, so a machine that has any is
+ * refused.
  */
 
 #ifndef CTAMEM_SVC_SNAPSHOT_HH
@@ -39,45 +40,34 @@ class SnapshotError : public std::runtime_error
 /** In-memory form of a machine snapshot. */
 struct MachineSnapshot
 {
-    /** One materialized SparseStore frame. */
-    struct Frame
-    {
-        Pfn pfn = 0;
-        std::vector<std::uint8_t> bytes; //!< exactly pageSize bytes
-    };
-
     sim::MachineConfig config;
-    SimTime simTime = 0;
-    /** Observer generator words; empty for RNG-free defenses. */
-    std::vector<std::uint64_t> observerRng;
-    /** Materialized frames, ascending pfn. */
-    std::vector<Frame> frames;
 };
 
 /**
  * Capture @p machine into a snapshot.  Fatal unless the machine is in
- * its post-boot state: no process and no page-table frame.
+ * its post-boot state: no process, no page-table frame, and no hammer
+ * pass, timed activation or REF tick on its engine.  Writes through
+ * `dram()` also put a machine past that state; the guard cannot see
+ * them, so callers must capture before making any.
  */
 MachineSnapshot captureSnapshot(sim::Machine &machine);
 
-/**
- * Build a machine from @p snapshot: cold-boot its config, then
- * restore DRAM contents, observer RNG state and sim time.
- */
+/** Build a machine from @p snapshot: a cold boot of its config. */
 std::unique_ptr<sim::Machine>
 restoreMachine(const MachineSnapshot &snapshot);
 
 /** @name Blob format
  *
- * Little-endian, versioned, with a trailing FNV-1a checksum over
- * every preceding byte.  deserialize() throws SnapshotError on bad
- * magic, unknown version, checksum mismatch, truncation, or any
- * out-of-bounds length field.
+ * Little-endian: magic, version, the config as length-prefixed JSON,
+ * and a trailing FNV-1a checksum over every preceding byte.
+ * deserialize() throws SnapshotError on bad magic, unknown version,
+ * checksum mismatch, truncation, an out-of-bounds length field or
+ * trailing bytes.
  */
 /** @{ */
 
 /** Current blob format version. */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 std::vector<std::uint8_t> serialize(const MachineSnapshot &snapshot);
 

@@ -11,9 +11,9 @@
 #include "common/log.hh"
 #include "cta/indicator.hh"
 #include "cta/plan.hh"
-#include "cta/theorem.hh"
 #include "dram/module.hh"
 #include "kernel/kernel.hh"
+#include "theorem_oracle.hh"
 
 namespace ctamem::cta {
 namespace {

@@ -10,8 +10,8 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "cta/hypervisor.hh"
-#include "cta/theorem.hh"
 #include "dram/module.hh"
+#include "theorem_oracle.hh"
 
 namespace ctamem::cta {
 namespace {

@@ -19,12 +19,12 @@
 
 #include "common/rng.hh"
 #include "cta/plan.hh"
-#include "cta/theorem.hh"
 #include "dram/module.hh"
 #include "mm/buddy.hh"
 #include "paging/address_space.hh"
 #include "paging/walker.hh"
 #include "sim/machine.hh"
+#include "theorem_oracle.hh"
 
 namespace ctamem {
 namespace {

@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "common/bitops.hh"
-#include "cta/theorem.hh"
 #include "dram/hammer.hh"
 #include "dram/module.hh"
 #include "ext/sandbox.hh"
+#include "theorem_oracle.hh"
 
 namespace ctamem::ext {
 namespace {

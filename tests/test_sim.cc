@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "defense/observers.hh"
 #include "dram/hammer.hh"
 #include "sim/campaign.hh"
 #include "sim/machine.hh"
@@ -75,7 +76,8 @@ TEST(Machine, DefensesMapToPolicies)
     Machine para(config);
     EXPECT_EQ(para.kernel().ptpLayout(), nullptr);
     ASSERT_NE(para.observer(), nullptr);
-    EXPECT_STREQ(para.observer()->name(), "PARA");
+    EXPECT_NE(dynamic_cast<defense::ParaObserver *>(para.observer()),
+              nullptr);
 
     config.defense = DefenseKind::Anvil;
     Machine anvil(config);
