@@ -67,9 +67,11 @@ inline constexpr std::uint64_t kScenarioSchemaVersion = 4;
  * manifests whose meaning is unchanged, so the epoch only moves when
  * result semantics move: 3 with schema v3; 4 when Drammer's
  * attackTime started counting its templating passes; 5 when the CATT
- * bypasses' attackTime started counting the fill and PTE-check steps.
+ * bypasses' attackTime started counting the fill and PTE-check steps;
+ * 6 when the self-reference scan started passing over windows that
+ * escalation cannot use (read-only, or exposing a root table).
  */
-inline constexpr std::uint64_t kResultCacheEpoch = 5;
+inline constexpr std::uint64_t kResultCacheEpoch = 6;
 
 /** @name MachineConfig <-> JSON */
 /** @{ */

@@ -229,5 +229,41 @@ TEST(Exploit, LooksLikePteHeuristic)
         looksLikePte(paging::kX86_64, 0xdeadbeefdeadbeee, mem));
 }
 
+TEST(Exploit, PassesOverARootTableWindow)
+{
+    // Two corrupted PTEs in one leaf table: page 1 of the mapping now
+    // translates into the root table, page 2 into the leaf table
+    // itself.  Nothing mappable can be crafted in a root table, so the
+    // scan must pass over page 1 and escalate through page 2.
+    Kernel kernel(machineConfig(AllocPolicy::Standard));
+    const paging::Arch &arch = kernel.arch();
+    const std::uint64_t page_bytes = kernel.pageBytes();
+    const paging::PageFlags rw{true, true, false};
+    const int pid = kernel.createProcess("attacker");
+    const VAddr base = kernel.mmapAnon(pid, 2 * MiB, rw);
+    for (unsigned page = 0; page < 3; ++page)
+        ASSERT_TRUE(kernel.touchUser(pid, base + page * page_bytes));
+
+    Pfn table = kernel.process(pid).rootPfn;
+    for (unsigned level = arch.levels; level > 1; --level)
+        table = arch.pfn(kernel.dram().readU64(
+            pfnToAddr(table) + arch.tableIndex(base, level) * 8));
+    ASSERT_EQ(kernel.tableLevel(table), 1u);
+    kernel.dram().writeU64(
+        pfnToAddr(table) + 8,
+        arch.makeLeaf(kernel.process(pid).rootPfn, rw, 1));
+    kernel.dram().writeU64(pfnToAddr(table) + 16,
+                           arch.makeLeaf(table, rw, 1));
+
+    const auto self_ref =
+        detectSelfReference(kernel, pid, {base}, 2 * MiB);
+    ASSERT_TRUE(self_ref);
+    EXPECT_EQ(self_ref->vaddr, base + 2 * page_bytes);
+    EXPECT_EQ(self_ref->tableAddr, pfnToAddr(table));
+    AttackResult result;
+    EXPECT_TRUE(exploit(kernel, pid, {base}, 2 * MiB, result, "", ""));
+    EXPECT_EQ(result.outcome, Outcome::Escalated);
+}
+
 } // namespace
 } // namespace ctamem::attack

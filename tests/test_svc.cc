@@ -151,7 +151,7 @@ TEST(Cache, KeysSeparateCellsAndTrackSchema)
     EXPECT_EQ(cellCacheKey(CampaignCell{MachineConfig{},
                                         sim::AttackKind::ProjectZero,
                                         "key-pin"}),
-              "708becbf7636f728");
+              "271e669bd36e4361");
 }
 
 TEST(Cache, MemoryTierHitsAndMisses)
