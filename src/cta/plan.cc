@@ -116,25 +116,34 @@ screenPageSizeBits(PtpLayout &layout, const paging::Arch &arch,
     // whose type bit flips '1'->'0' *becomes* a block leaf — either
     // way the dangerous direction in true-cells is '1'->'0' on the
     // descriptor's block bit.  Level>=2 candidate granules with a
-    // vulnerable block-bit cell in any slot are dropped whole.
+    // vulnerable block-bit cell in any slot are dropped whole.  A
+    // slot is 64 cells, so its block bit is the cell whose in-frame
+    // offset is blockBit modulo 64.
     const std::uint64_t granule_frames = arch.granuleFrames();
-    const std::uint64_t slots = arch.entriesPerTable();
+    std::vector<std::uint32_t> cells;
+    const auto exploitable_frame = [&](Addr frame_base) {
+        cells.clear();
+        faults.frameCells(frame_base, cells);
+        for (const std::uint32_t cell : cells) {
+            if (cell % 64 == arch.blockBit &&
+                faults.flipDirection(frame_base + cell / 8, cell % 8,
+                                     dram::CellType::True) ==
+                    dram::FlipDirection::OneToZero) {
+                return true;
+            }
+        }
+        return false;
+    };
     for (unsigned level = 2; level <= arch.levels; ++level) {
         std::vector<FrameSpan> clean;
         for (const FrameSpan &span : layout.levelSpans[level]) {
             for (Pfn pfn = span.basePfn; pfn < span.endPfn();
                  pfn += granule_frames) {
                 bool exploitable = false;
-                for (std::uint64_t slot = 0;
-                     slot < slots && !exploitable; ++slot) {
-                    const Addr addr = pfnToAddr(pfn) + slot * 8;
-                    if (faults.vulnerable(addr, arch.blockBit) &&
-                        faults.flipDirection(
-                            addr, arch.blockBit,
-                            dram::CellType::True) ==
-                            dram::FlipDirection::OneToZero) {
-                        exploitable = true;
-                    }
+                for (Pfn frame = pfn;
+                     frame < pfn + granule_frames && !exploitable;
+                     ++frame) {
+                    exploitable = exploitable_frame(pfnToAddr(frame));
                 }
                 if (exploitable) {
                     layout.screenedFrames += granule_frames;

@@ -2,30 +2,36 @@
  * @file
  * Per-cell fault properties of a simulated DRAM module.
  *
- * Every property is a pure, stable function of (module seed, cell
- * index): whether the cell is RowHammer-vulnerable, which direction a
- * vulnerable cell flips, the minimum hammer intensity that trips it,
- * and the cell's data-retention time.  Stability matters: Drammer-
- * style "memory templating" (van der Veen et al.) only works because a
- * real module's flippable bits are a fixed physical property, and the
- * attacks we reproduce rely on exactly that.
+ * Every property is a pure, stable function of the module seed and
+ * the cell's logical address: whether the cell is RowHammer-
+ * vulnerable, which direction a vulnerable cell flips, the minimum
+ * hammer intensity that trips it, and the cell's data-retention time.
+ * Stability matters: Drammer-style "memory templating" (van der Veen
+ * et al.) only works because a real module's flippable bits are a
+ * fixed physical property, and the attacks we reproduce rely on
+ * exactly that.
  *
- * The scalar accessors (vulnerable / flipDirection / tripThreshold /
- * tripHash / retentionTime) answer for a single (addr, bit) cell.  One
- * bulk scan, vulnMaskRow, answers vulnerable() for every cell of a row
- * at once, because a row profile must test them all.  Both hoist the
- * per-salt stableHash prefix into a precomputed base (two splitmix64
- * rounds per cell instead of three) and compare the raw 53-bit hash
- * against an integer threshold.  Multiplying a probability by 2^53 is
- * exact (power-of-two scaling), so `hash01(...) < p` and the integer
- * compare agree for every hash value.  The hammer engine keeps each
- * vulnerable cell's raw trip hash (tripHash) for the same reason.
+ * Vulnerability is drawn a 4 KiB frame at a time: frameCells() skips
+ * from one vulnerable cell to the next by Geometric(pf) gaps drawn
+ * from a counter-seeded stream keyed on (seed, frame number), so it
+ * costs time in proportion to the frame's vulnerable cells, not its
+ * 32,768 cells, and any frame can be generated alone.  The properties
+ * of a vulnerable cell (flipDirection / tripThreshold / tripHash /
+ * retentionTime) are per-cell hashes.  They hoist the per-salt
+ * stableHash prefix into a precomputed base and compare the raw
+ * 53-bit hash against an integer threshold.  Multiplying a
+ * probability by 2^53 is exact (power-of-two scaling), so
+ * `hash01(...) < p` and the integer compare agree for every hash
+ * value.  The hammer engine keeps each vulnerable cell's raw trip
+ * hash (tripHash) for the same reason.
  */
 
 #ifndef CTAMEM_DRAM_FAULT_MODEL_HH
 #define CTAMEM_DRAM_FAULT_MODEL_HH
 
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -47,19 +53,26 @@ class FaultModel
           dirBase_(saltBase(seed, saltDirection)),
           thrBase_(saltBase(seed, saltThreshold)),
           retBase_(saltBase(seed, saltRetention)),
-          vulnLt_(strictThreshold(stats.pf)),
+          logMissRate_(std::log1p(-stats.pf)),
           dirLt_(strictThreshold(stats.p10True()))
     {}
 
     const ErrorStats &stats() const { return stats_; }
     std::uint64_t seed() const { return seed_; }
 
-    /** True iff the cell at (@p addr, @p bit) is RowHammer-flippable. */
-    bool
-    vulnerable(Addr addr, unsigned bit) const
-    {
-        return cellHash(vulnBase_, cellIndex(addr, bit)) < vulnLt_;
-    }
+    /** Cells of one 4 KiB frame (eight per byte). */
+    static constexpr std::uint32_t kFrameCells = pageSize * 8;
+
+    /**
+     * Append the RowHammer-flippable cells of the 4 KiB frame at
+     * @p frame_base to @p out, as ascending in-frame offsets
+     * (byte * 8 + bit, below kFrameCells).  Each cell is vulnerable
+     * with probability pf, independently: the gaps between them are
+     * Geometric(pf), the k-th drawn from stableHash(seed,
+     * saltVulnerable, pfn, k), so no state carries across frames.
+     */
+    void frameCells(Addr frame_base,
+                    std::vector<std::uint32_t> &out) const;
 
     /**
      * Flip direction of a *vulnerable* cell that sits in a row of
@@ -116,16 +129,6 @@ class FaultModel
     SimTime retentionTime(Addr addr, unsigned bit,
                           double celsius = 20.0) const;
 
-    /**
-     * Bulk scan: vulnerable() for the 64 * @p words cells backing
-     * [@p addr, @p addr + 8 * @p words) — bit k of out[w] is cell
-     * (addr + w * 8 + k / 8, k % 8), the layout of a little-endian
-     * u64 load.  Uses the AVX-512 lane kernel when the CPU has one;
-     * always bit-identical to the scalar calls.
-     */
-    void vulnMaskRow(Addr addr, std::size_t words,
-                     std::uint64_t *out) const;
-
   private:
     // Salts keep the independent per-cell properties decorrelated.
     static constexpr std::uint64_t saltVulnerable = 0x76756c6eULL;
@@ -151,7 +154,10 @@ class FaultModel
         return splitmix64(seed ^ (salt + kStableHashMix));
     }
 
-    /** 53-bit hash of one cell under a hoisted salt base. */
+    /**
+     * 53-bit hash of @p idx under a hoisted base: a cell index under
+     * a salt's base, or a draw counter under a frame's key.
+     */
     static std::uint64_t
     cellHash(std::uint64_t base, std::uint64_t idx)
     {
@@ -191,7 +197,7 @@ class FaultModel
     std::uint64_t dirBase_;
     std::uint64_t thrBase_;
     std::uint64_t retBase_;
-    std::uint64_t vulnLt_;
+    double logMissRate_; //!< log(1 - pf), the gap draw's divisor
     std::uint64_t dirLt_;
 };
 

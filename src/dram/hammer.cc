@@ -30,7 +30,7 @@ tripLimit(double intensity)
 /** Build the cell records of one row from the fault model. */
 std::shared_ptr<const RowVulnProfile>
 buildProfile(const FaultModel &faults, Addr base, CellType type,
-             std::uint64_t row_bytes, std::vector<std::uint64_t> &scratch)
+             std::uint64_t row_bytes, std::vector<std::uint32_t> &scratch)
 {
     if (row_bytes > RowVulnProfile::kMaxRowBytes)
         fatal("row profile: ", row_bytes,
@@ -39,27 +39,26 @@ buildProfile(const FaultModel &faults, Addr base, CellType type,
     profile->base = base;
     profile->type = type;
 
-    const std::size_t row_words = row_bytes / 8;
-    scratch.resize(row_words);
-    faults.vulnMaskRow(base, row_words, scratch.data());
+    // A row is whole frames: rowBytes is a power of two >= pageSize.
+    scratch.clear();
+    for (std::uint64_t frame = 0; frame < row_bytes / pageSize; ++frame) {
+        const std::size_t first = scratch.size();
+        faults.frameCells(base + frame * pageSize, scratch);
+        const auto shift =
+            static_cast<std::uint32_t>(frame * FaultModel::kFrameCells);
+        for (std::size_t i = first; i < scratch.size(); ++i)
+            scratch[i] += shift;
+    }
 
-    std::size_t cells = 0;
-    for (const std::uint64_t vuln : scratch)
-        cells += std::popcount(vuln);
-    profile->cellBits.reserve(cells);
-    profile->cellTrips.reserve(cells);
-    for (std::size_t w = 0; w < row_words; ++w) {
-        for (std::uint64_t rest = scratch[w]; rest; rest &= rest - 1) {
-            const unsigned k = std::countr_zero(rest);
-            const Addr addr = base + w * 8 + k / 8;
-            const bool dir10 = faults.flipDirection(addr, k % 8, type) ==
-                               FlipDirection::OneToZero;
-            profile->cellBits.push_back(
-                static_cast<std::uint32_t>(w * 64 + k));
-            profile->cellTrips.push_back(
-                faults.tripHash(addr, k % 8) |
-                (dir10 ? RowVulnProfile::kDir10 : 0));
-        }
+    profile->cellBits.assign(scratch.begin(), scratch.end());
+    profile->cellTrips.reserve(scratch.size());
+    for (const std::uint32_t cell : scratch) {
+        const Addr addr = base + cell / 8;
+        const bool dir10 = faults.flipDirection(addr, cell % 8, type) ==
+                           FlipDirection::OneToZero;
+        profile->cellTrips.push_back(
+            faults.tripHash(addr, cell % 8) |
+            (dir10 ? RowVulnProfile::kDir10 : 0));
     }
     return profile;
 }
@@ -68,10 +67,10 @@ buildProfile(const FaultModel &faults, Addr base, CellType type,
  * Process-wide row-profile cache.  Profiles are pure functions of
  * (seed, error stats, row base, cell type, row size), so engines over
  * identical modules — e.g. the per-defense machines of one campaign
- * sweep, which all boot the same seed — share one scan per row.
+ * sweep, which all boot the same seed — share one build per row.
  * Sharded mutexes keep campaign worker threads out of each other's
- * way; a racing double-build is harmless (both results are identical)
- * and first-insert-wins.
+ * way.  A build costs microseconds, so it runs under its shard's
+ * lock: a row wanted by several threads at once is built once.
  *
  * Each shard is LRU-bounded, in entries and in stored cells: service
  * workloads stream arbitrarily many distinct module configs through
@@ -93,7 +92,7 @@ class ProfileCache
 
     std::shared_ptr<const RowVulnProfile>
     fetch(const FaultModel &faults, Addr base, CellType type,
-          std::uint64_t row_bytes, std::vector<std::uint64_t> &scratch)
+          std::uint64_t row_bytes, std::vector<std::uint32_t> &scratch)
     {
         const Key key{faults.seed(),
                       std::bit_cast<std::uint64_t>(faults.stats().pf),
@@ -101,24 +100,18 @@ class ProfileCache
                           faults.stats().p10True()),
                       row_bytes, base, type};
         Shard &shard = shards_[KeyHash{}(key) % kShards];
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            auto it = shard.map.find(key);
-            if (it != shard.map.end()) {
-                ++shard.hits;
-                // Move to the front of the recency list.
-                shard.lru.splice(shard.lru.begin(), shard.lru,
-                                 it->second.lruIt);
-                return it->second.profile;
-            }
-            ++shard.misses;
-        }
-        auto built = buildProfile(faults, base, type, row_bytes,
-                                  scratch);
         std::lock_guard<std::mutex> lock(shard.mutex);
         auto it = shard.map.find(key);
-        if (it != shard.map.end())
-            return it->second.profile; // lost the race: share winner
+        if (it != shard.map.end()) {
+            ++shard.hits;
+            // Move to the front of the recency list.
+            shard.lru.splice(shard.lru.begin(), shard.lru,
+                             it->second.lruIt);
+            return it->second.profile;
+        }
+        ++shard.misses;
+        auto built = buildProfile(faults, base, type, row_bytes,
+                                  scratch);
         shard.lru.push_front(key);
         shard.map.emplace(key, Entry{built, shard.lru.begin()});
         shard.cells += built->vulnerableCells();

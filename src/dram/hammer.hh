@@ -370,7 +370,7 @@ class RowHammerEngine
     std::unordered_map<std::uint64_t,
                        std::shared_ptr<const RowVulnProfile>>
         profiles_;
-    std::vector<std::uint64_t> scanBuffer_; //!< bulk-scan scratch
+    std::vector<std::uint32_t> scanBuffer_; //!< profile-build scratch
     std::vector<FlipEvent> *sink_ = nullptr;
 
     // Timed-path state.

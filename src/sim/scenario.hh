@@ -69,9 +69,11 @@ inline constexpr std::uint64_t kScenarioSchemaVersion = 4;
  * attackTime started counting its templating passes; 5 when the CATT
  * bypasses' attackTime started counting the fill and PTE-check steps;
  * 6 when the self-reference scan started passing over windows that
- * escalation cannot use (read-only, or exposing a root table).
+ * escalation cannot use (read-only, or exposing a root table); 7 when
+ * the fault model started drawing each frame's vulnerable cells by
+ * geometric skips, which moved every module's flip map.
  */
-inline constexpr std::uint64_t kResultCacheEpoch = 6;
+inline constexpr std::uint64_t kResultCacheEpoch = 7;
 
 /** @name MachineConfig <-> JSON */
 /** @{ */

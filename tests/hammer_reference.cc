@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "fault_oracle.hh"
 
 namespace ctamem::dram {
 
@@ -11,7 +12,7 @@ namespace reference {
 
 namespace {
 
-/** The scalar engine's row scan: every cell, one hash at a time. */
+/** The scalar engine's row scan: the row's cells, frame by frame. */
 std::vector<VulnerableBit>
 scanRowScalar(DramModule &module, std::uint64_t bank,
               std::uint64_t device_row)
@@ -22,14 +23,11 @@ scanRowScalar(DramModule &module, std::uint64_t bank,
     if (logical != ~0ULL) {
         const Addr base = geom.address(Location{bank, logical, 0});
         const FaultModel &faults = module.faults();
-        for (std::uint64_t col = 0; col < geom.rowBytes(); ++col) {
-            for (unsigned bit = 0; bit < 8; ++bit) {
-                if (faults.vulnerable(base + col, bit)) {
-                    found.push_back(VulnerableBit{
-                        col, bit,
-                        faults.tripThreshold(base + col, bit)});
-                }
-            }
+        for (const std::uint64_t cell :
+             vulnerableCells(faults, base, geom.rowBytes())) {
+            const unsigned bit = cell % 8;
+            found.push_back(VulnerableBit{
+                cell / 8, bit, faults.tripThreshold(base + cell / 8, bit)});
         }
     }
     std::sort(found.begin(), found.end(),

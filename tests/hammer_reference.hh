@@ -1,9 +1,10 @@
 /**
  * @file
  * Scalar reference implementation of the RowHammer disturbance pass —
- * the pre-mask cell-at-a-time algorithm, kept verbatim so the
- * equivalence property tests can check the bit-parallel engine
- * (dram/hammer.hh) cell-for-cell against it.  Test-only code.
+ * the pre-mask cell-at-a-time algorithm, kept so the equivalence
+ * property tests can check the bit-parallel engine (dram/hammer.hh)
+ * cell-for-cell against it.  Its row scan reads the fault model's
+ * vulnerable cells frame by frame (fault_oracle.hh).  Test-only code.
  */
 
 #ifndef CTAMEM_TESTS_HAMMER_REFERENCE_HH

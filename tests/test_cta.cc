@@ -13,6 +13,7 @@
 #include "cta/plan.hh"
 #include "dram/module.hh"
 #include "kernel/kernel.hh"
+#include "fault_oracle.hh"
 #include "theorem_oracle.hh"
 
 namespace ctamem::cta {
@@ -203,7 +204,7 @@ TEST(PtpZone, PsBitScreeningDropsVulnerableFrames)
              ++slot) {
             const Addr addr = pfnToAddr(*pfn) + slot * 8;
             const bool bad =
-                faults.vulnerable(addr, arch.blockBit) &&
+                dram::vulnerable(faults, addr, arch.blockBit) &&
                 faults.flipDirection(addr, arch.blockBit,
                                      CellType::True) ==
                     dram::FlipDirection::OneToZero;

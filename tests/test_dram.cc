@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/bitops.hh"
 #include "common/log.hh"
 #include "dram/cell_types.hh"
@@ -13,6 +17,7 @@
 #include "dram/geometry.hh"
 #include "dram/module.hh"
 #include "dram/sparse_store.hh"
+#include "fault_oracle.hh"
 
 namespace ctamem::dram {
 namespace {
@@ -170,7 +175,7 @@ TEST(SparseStore, WordStraddlingFramesRoundTrips)
     EXPECT_EQ(store.frameCount(), 2u);
 }
 
-TEST(SparseStore, FrameCacheSurvivesInterleavingAndClear)
+TEST(SparseStore, FrameCacheSurvivesInterleavingAndRehash)
 {
     SparseStore store(0x55);
     // Prime the last-frame cache, then bounce between frames; every
@@ -192,13 +197,198 @@ TEST(SparseStore, FrameCacheSurvivesInterleavingAndClear)
 TEST(FaultModel, VulnerabilityRateMatchesPf)
 {
     FaultModel faults(11, ErrorStats{});
-    std::uint64_t vulnerable = 0;
     const std::uint64_t cells = 2'000'000;
-    for (std::uint64_t i = 0; i < cells; ++i)
-        if (faults.vulnerable(i / 8, static_cast<unsigned>(i % 8)))
-            ++vulnerable;
+    const std::uint64_t frames = (cells / 8 + pageSize - 1) / pageSize;
+    std::uint64_t vulnerable = 0;
+    for (const std::uint64_t cell :
+         vulnerableCells(faults, 0, frames * pageSize))
+        vulnerable += cell < cells;
     // Expected 200 +- statistical noise.
     EXPECT_NEAR(static_cast<double>(vulnerable), 200.0, 60.0);
+}
+
+/** A fault model whose cells are vulnerable with probability @p pf. */
+FaultModel
+modelAt(std::uint64_t seed, double pf)
+{
+    ErrorStats stats;
+    stats.pf = pf;
+    return FaultModel(seed, stats);
+}
+
+/** Vulnerable cells of frame @p pfn. */
+std::vector<std::uint32_t>
+cellsOfFrame(const FaultModel &faults, Pfn pfn)
+{
+    std::vector<std::uint32_t> cells;
+    faults.frameCells(pfnToAddr(pfn), cells);
+    return cells;
+}
+
+/**
+ * Pearson chi-square of the vulnerable-cell counts of frames
+ * [0, @p frames) against Binomial(kFrameCells, pf), pooling adjacent
+ * counts until every bin expects at least 5 frames.  Sets @p df to
+ * the bins less one.
+ */
+double
+frameCountChiSquare(const FaultModel &faults, std::uint64_t frames,
+                    unsigned &df)
+{
+    const double pf = faults.stats().pf;
+    const std::uint32_t n = FaultModel::kFrameCells;
+    std::vector<std::uint64_t> observed(n + 1);
+    for (Pfn pfn = 0; pfn < frames; ++pfn)
+        ++observed[cellsOfFrame(faults, pfn).size()];
+
+    double chi2 = 0.0;
+    unsigned bins = 0;
+    double bin_expected = 0.0;
+    double bin_observed = 0.0;
+    double tail = static_cast<double>(frames); // expected above k
+    for (std::uint32_t k = 0; k <= n; ++k) {
+        const double log_pmf =
+            std::lgamma(n + 1.0) - std::lgamma(k + 1.0) -
+            std::lgamma(n - k + 1.0) + k * std::log(pf) +
+            (n - k) * std::log1p(-pf);
+        const double expected =
+            static_cast<double>(frames) * std::exp(log_pmf);
+        bin_expected += expected;
+        bin_observed += static_cast<double>(observed[k]);
+        tail -= expected;
+        // The last bin takes every count once fewer than 5 remain.
+        if ((bin_expected >= 5.0 && tail >= 5.0) || k == n) {
+            const double diff = bin_observed - bin_expected;
+            chi2 += diff * diff / bin_expected;
+            ++bins;
+            bin_expected = 0.0;
+            bin_observed = 0.0;
+        }
+    }
+    df = bins - 1;
+    return chi2;
+}
+
+/** Upper 0.1% point of chi-square with @p df degrees of freedom
+ *  (Wilson-Hilferty). */
+double
+chiSquareCritical(unsigned df)
+{
+    const double z = 3.090; // upper 0.1% point of N(0, 1)
+    const double a = 2.0 / (9.0 * df);
+    return df * std::pow(1.0 - a + z * std::sqrt(a), 3.0);
+}
+
+/**
+ * Kolmogorov-Smirnov distance between the gaps before vulnerable
+ * cells (cells skipped since the previous one or the frame start) in
+ * frames [0, @p frames) and Geometric(pf).  Only a gap starting at
+ * least `reach` cells before the frame end counts, where a gap that
+ * long has probability 1e-6: the frame end then cuts off no counted
+ * gap by more than that.  Sets @p samples to the gaps counted.
+ */
+double
+gapKsDistance(const FaultModel &faults, std::uint64_t frames,
+              std::uint64_t &samples)
+{
+    const double pf = faults.stats().pf;
+    const double reach = std::log(1e-6) / std::log1p(-pf);
+    std::vector<std::uint32_t> gaps;
+    for (Pfn pfn = 0; pfn < frames; ++pfn) {
+        std::uint32_t start = 0;
+        for (const std::uint32_t cell : cellsOfFrame(faults, pfn)) {
+            if (FaultModel::kFrameCells - start >= reach)
+                gaps.push_back(cell - start);
+            start = cell + 1;
+        }
+    }
+    std::sort(gaps.begin(), gaps.end());
+    samples = gaps.size();
+
+    double distance = 0.0;
+    std::size_t at_most = 0; // gaps <= k
+    for (std::uint32_t k = 0; k <= gaps.back(); ++k) {
+        while (at_most < gaps.size() && gaps[at_most] <= k)
+            ++at_most;
+        const double empirical = static_cast<double>(at_most) /
+                                 static_cast<double>(gaps.size());
+        const double cdf = -std::expm1((k + 1.0) * std::log1p(-pf));
+        distance = std::max(distance, std::abs(empirical - cdf));
+    }
+    return distance;
+}
+
+TEST(FaultModel, FrameCountsFollowTheBinomial)
+{
+    // Each of a frame's 32,768 cells is vulnerable with probability
+    // pf, independently, so a frame's count is Binomial(32768, pf).
+    for (const auto &[pf, frames] :
+         {std::pair{1e-3, 4000ULL}, std::pair{3e-2, 2000ULL}}) {
+        unsigned df = 0;
+        const double chi2 =
+            frameCountChiSquare(modelAt(0xb1407, pf), frames, df);
+        EXPECT_GE(df, 10u) << "pf " << pf;
+        EXPECT_LT(chi2, chiSquareCritical(df))
+            << "pf " << pf << " df " << df;
+    }
+}
+
+TEST(FaultModel, FrameGapsFollowTheGeometric)
+{
+    for (const auto &[pf, frames] :
+         {std::pair{1e-3, 400ULL}, std::pair{3e-2, 20ULL}}) {
+        std::uint64_t samples = 0;
+        const double distance =
+            gapKsDistance(modelAt(0x9e0, pf), frames, samples);
+        EXPECT_GE(samples, 5000u) << "pf " << pf;
+        // Kolmogorov's 0.1% critical value; conservative for a
+        // discrete distribution.
+        EXPECT_LT(distance,
+                  1.95 / std::sqrt(static_cast<double>(samples)))
+            << "pf " << pf << " over " << samples << " gaps";
+    }
+}
+
+TEST(FaultModel, FrameCellsAscendAndAreStable)
+{
+    const FaultModel faults = modelAt(42, 1e-2);
+    for (Pfn pfn = 0; pfn < 64; ++pfn) {
+        const std::vector<std::uint32_t> cells = cellsOfFrame(faults, pfn);
+        ASSERT_FALSE(cells.empty());
+        for (std::size_t i = 1; i < cells.size(); ++i)
+            EXPECT_LT(cells[i - 1], cells[i]);
+        EXPECT_LT(cells.back(), FaultModel::kFrameCells);
+        // A pure function of (seed, pf, frame): the same cells again,
+        // from another model of the same module, appended after
+        // another frame's.
+        EXPECT_EQ(cellsOfFrame(faults, pfn), cells);
+        std::vector<std::uint32_t> appended = cellsOfFrame(faults, 999);
+        const std::size_t other = appended.size();
+        modelAt(42, 1e-2).frameCells(pfnToAddr(pfn), appended);
+        EXPECT_TRUE(std::equal(appended.begin() + other,
+                               appended.end(), cells.begin(),
+                               cells.end()));
+    }
+    EXPECT_NE(cellsOfFrame(modelAt(43, 1e-2), 0), cellsOfFrame(faults, 0));
+}
+
+TEST(FaultModel, FrameCellsAtTheEndsOfPf)
+{
+    EXPECT_TRUE(cellsOfFrame(modelAt(5, 0.0), 7).empty());
+
+    const std::vector<std::uint32_t> all = cellsOfFrame(modelAt(5, 1.0), 7);
+    ASSERT_EQ(all.size(), FaultModel::kFrameCells);
+    for (std::uint32_t cell = 0; cell < all.size(); ++cell)
+        EXPECT_EQ(all[cell], cell);
+
+    // Gaps this long overflow every integer type as doubles; the
+    // frame end is compared before any conversion (the ubsan build
+    // checks float-cast-overflow).
+    const FaultModel rare = modelAt(5, 1e-9);
+    std::size_t cells = 0;
+    for (Pfn pfn = 0; pfn < 1024; ++pfn)
+        cells += cellsOfFrame(rare, pfn).size();
+    EXPECT_LE(cells, 2u);
 }
 
 TEST(FaultModel, DirectionDistributionInTrueCells)
@@ -233,7 +423,7 @@ TEST(FaultModel, StablePropertiesAcrossQueries)
 {
     FaultModel faults(42, ErrorStats{});
     for (std::uint64_t i = 0; i < 1000; ++i) {
-        EXPECT_EQ(faults.vulnerable(i, 1), faults.vulnerable(i, 1));
+        EXPECT_EQ(vulnerable(faults, i, 1), vulnerable(faults, i, 1));
         EXPECT_EQ(faults.tripThreshold(i, 1),
                   faults.tripThreshold(i, 1));
     }

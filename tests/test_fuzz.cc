@@ -410,14 +410,14 @@ TEST(PatternFuzzer, OutcomeIsIdenticalAtAnyThreadCount)
 
 TEST(PatternFuzzer, SearchOutcomeIsPinned)
 {
-    // A fixed search seed gives one search outcome; the constants
-    // were captured before the timed path was last reworked.
+    // A fixed search seed gives one search outcome on a fixed fault
+    // map; the constants move only when the fault model's draw does.
     fuzz::FuzzParams params = armsRaceParams();
     params.seed = 0x5eed15;
     const fuzz::FuzzOutcome outcome =
         fuzz::PatternFuzzer(armsRaceTarget(), params).run();
-    EXPECT_EQ(outcome.best.hash(), 0x30482026163f79ecULL);
-    EXPECT_EQ(outcome.bestFlips, 1288u);
+    EXPECT_EQ(outcome.best.hash(), 0x063a6cd614b180bfULL);
+    EXPECT_EQ(outcome.bestFlips, 1273u);
     EXPECT_EQ(outcome.firstBypassGeneration, 0u);
 }
 
@@ -467,9 +467,9 @@ TEST(TimedHammer, FlipEventStreamIsPinned)
         timedActivations += engine.stats().value("timedActivations");
     }
     EXPECT_EQ(events.size(), flips10 + flips01);
-    EXPECT_EQ(flipDigest(events), 0x35658a43adb233a5ULL);
-    EXPECT_EQ(flips10, 2150u);
-    EXPECT_EQ(flips01, 2u);
+    EXPECT_EQ(flipDigest(events), 0x76b33e9043d60902ULL);
+    EXPECT_EQ(flips10, 2083u);
+    EXPECT_EQ(flips01, 6u);
     EXPECT_EQ(trrRefreshes, 67584u);
     EXPECT_EQ(timedActivations, 41196641u);
 }

@@ -2,16 +2,21 @@
  * @file
  * Unit and property tests for the RowHammer engine: flip directions
  * per cell type, intensity thresholds, victim selection, observer
- * suppression, templating stability.
+ * suppression, templating stability, and the shared row-profile cache
+ * (one of whose tests races threads, hence this suite's tsan label).
  */
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <bit>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "dram/hammer.hh"
 #include "dram/module.hh"
+#include "fault_oracle.hh"
 
 namespace ctamem::dram {
 namespace {
@@ -194,16 +199,17 @@ TEST(Hammer, VulnerableBitScanMatchesFaultModel)
         const CellType type = module.cellMap().rowType(row);
         ASSERT_EQ(profile.cellTrips.size(), profile.cellBits.size());
 
-        // Each record is a vulnerable cell, in ascending order, with
-        // its exact trip hash and its direction and nothing else.
+        // The records are the row's vulnerable cells, frame by frame
+        // in ascending order, each with its exact trip hash and its
+        // direction and nothing else.
+        const std::vector<std::uint64_t> cells =
+            vulnerableCells(faults, base, 128 * KiB);
+        ASSERT_EQ(cells.size(), profile.vulnerableCells());
         for (std::uint32_t i = 0; i < profile.vulnerableCells(); ++i) {
             const std::uint32_t offset = profile.cellBits[i];
             const Addr byte = base + offset / 8;
             const unsigned bit = offset % 8;
-            if (i > 0) {
-                EXPECT_LT(profile.cellBits[i - 1], offset);
-            }
-            EXPECT_TRUE(faults.vulnerable(byte, bit));
+            EXPECT_EQ(offset, cells[i]);
             const std::uint64_t trip = profile.cellTrips[i];
             const double threshold = faults.tripThreshold(byte, bit);
             EXPECT_EQ(trip & RowVulnProfile::kTripHash,
@@ -217,14 +223,9 @@ TEST(Hammer, VulnerableBitScanMatchesFaultModel)
                       0u);
         }
 
-        // No vulnerable cell of the row is missing.
-        std::uint64_t cells = 0;
-        for (std::uint64_t offset = 0; offset < 128 * KiB * 8; ++offset)
-            cells += faults.vulnerable(base + offset / 8, offset % 8);
-        EXPECT_EQ(cells, profile.vulnerableCells());
         // Expected count: rowBytes * 8 * pf.
         const double expected = 128.0 * KiB * 8 * 5e-3;
-        EXPECT_NEAR(static_cast<double>(cells), expected,
+        EXPECT_NEAR(static_cast<double>(cells.size()), expected,
                     expected * 0.1);
     }
 }
@@ -306,6 +307,40 @@ TEST(Hammer, ProfileCacheCountsHitsAndMisses)
     EXPECT_EQ(after.misses - before.misses, 16u);
 }
 
+TEST(Hammer, ProfileCacheBuildsARowOnceForRacingFetches)
+{
+    // Four engines over identical modules fetch the same 64 rows from
+    // behind a barrier, so every row is wanted by several threads at
+    // once; the shared cache still builds each row exactly once.
+    DramConfig config = hammerConfig();
+    config.seed = 0x4ace5ULL;
+    constexpr unsigned threads = 4;
+    constexpr std::uint64_t rows = 64;
+    std::vector<std::unique_ptr<DramModule>> modules;
+    std::vector<std::unique_ptr<RowHammerEngine>> engines;
+    for (unsigned t = 0; t < threads; ++t) {
+        modules.push_back(std::make_unique<DramModule>(config));
+        engines.push_back(
+            std::make_unique<RowHammerEngine>(*modules.back()));
+    }
+
+    const ProfileCacheStats before = profileCacheStats();
+    std::barrier start(threads);
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            start.arrive_and_wait();
+            for (std::uint64_t row = 0; row < rows; ++row)
+                engines[t]->rowProfile(0, row);
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    const ProfileCacheStats after = profileCacheStats();
+    EXPECT_EQ(after.misses - before.misses, rows);
+    EXPECT_EQ(after.hits - before.hits, (threads - 1) * rows);
+}
+
 TEST(Hammer, ProfileCacheShrinkEvictsToCapacity)
 {
     DramConfig config = hammerConfig();
@@ -338,7 +373,7 @@ TEST(Hammer, ProfileCacheHoldsACampaignBatch)
 {
     // A Table-1 campaign batch touches 1,456 distinct rows.  Rows
     // this sparse meet the entry bound first, so 8 KiB rows keep the
-    // scans short.
+    // builds short.
     DramConfig config;
     config.capacity = 64 * MiB;
     config.rowBytes = 8 * KiB;

@@ -2,9 +2,7 @@
  * @file
  * Equivalence properties of the mask-based disturbance engine.
  *
- * Three contracts pin the engine down:
- *  - the bulk FaultModel row scan is bit-identical to scalar
- *    vulnerable() calls;
+ * Two contracts pin the engine down:
  *  - the bit-parallel hammer path produces exactly the flips of the
  *    retained scalar reference implementation, cell for cell, on
  *    randomized modules and data patterns; and
@@ -82,31 +80,6 @@ expectStoresEqual(const DramModule &a, const DramModule &b)
         b.read(off, right.data(), right.size());
         ASSERT_EQ(left, right) << "stores diverge near 0x" << std::hex
                                << off;
-    }
-}
-
-TEST(FaultWordAccessors, BulkRowScanMatchesPerWordCalls)
-{
-    constexpr std::size_t words = 512;
-    const Addr base = 3 * 128 * KiB;
-    for (const std::uint64_t seed : {99ULL, 0xdeadULL}) {
-        for (const double pf : {2e-3, 3e-2}) {
-            ErrorStats stats;
-            stats.pf = pf;
-            const FaultModel model(seed, stats);
-            std::vector<std::uint64_t> row(words);
-            model.vulnMaskRow(base, words, row.data());
-            for (std::size_t w = 0; w < words; ++w) {
-                std::uint64_t vuln = 0;
-                for (unsigned k = 0; k < 64; ++k) {
-                    vuln |= static_cast<std::uint64_t>(model.vulnerable(
-                                base + w * 8 + k / 8, k % 8))
-                            << k;
-                }
-                ASSERT_EQ(row[w], vuln)
-                    << "seed " << seed << " pf " << pf << " word " << w;
-            }
-        }
     }
 }
 

@@ -124,10 +124,10 @@ TEST(Machine, Table1GridWorkIsPinned)
 
     const GridWork work = runGridSerially(campaign);
     EXPECT_EQ(work.hammerPasses, 4109u);
-    EXPECT_EQ(work.flips10, 133238u);
-    EXPECT_EQ(work.flips01, 10391u);
-    EXPECT_EQ(work.pageFaults, 269228u);
-    EXPECT_EQ(work.pteAllocs, 37285u);
+    EXPECT_EQ(work.flips10, 133563u);
+    EXPECT_EQ(work.flips01, 10551u);
+    EXPECT_EQ(work.pageFaults, 260651u);
+    EXPECT_EQ(work.pteAllocs, 37281u);
     EXPECT_LE(work.walks, 1249463u);
     EXPECT_LE(work.tlbMisses, 1028279u);
     EXPECT_LE(work.frames, 124675u);

@@ -151,7 +151,7 @@ TEST(Cache, KeysSeparateCellsAndTrackSchema)
     EXPECT_EQ(cellCacheKey(CampaignCell{MachineConfig{},
                                         sim::AttackKind::ProjectZero,
                                         "key-pin"}),
-              "271e669bd36e4361");
+              "140b09f85a48994a");
 }
 
 TEST(Cache, MemoryTierHitsAndMisses)
