@@ -7,7 +7,7 @@ namespace ctamem::defense {
 bool
 ParaObserver::onHammer(const dram::DisturbanceEvent &event)
 {
-    // Victims survive one pass only if no activation triggered the
+    // Victims survive one burst only if no activation triggered the
     // probabilistic neighbour refresh.
     const double p_refreshed = atLeastOne(
         probability_, static_cast<double>(event.activations));
@@ -21,7 +21,7 @@ ParaObserver::onHammer(const dram::DisturbanceEvent &event)
 bool
 RefreshBoostObserver::onHammer(const dram::DisturbanceEvent &)
 {
-    // One pass in `factor_` still accumulates enough disturbance
+    // One burst in `factor_` still accumulates enough disturbance
     // within the shortened refresh window.
     if (rng_.below(factor_) != 0) {
         ++mitigations_;

@@ -17,7 +17,7 @@ namespace ctamem::defense {
 /**
  * PARA (Kim et al. ISCA'14): on every row close, refresh the adjacent
  * rows with probability p.  Over the ~1.3M activations of one hammer
- * pass the victims are refreshed with probability 1 - (1-p)^N, which
+ * burst the victims are refreshed with probability 1 - (1-p)^N, which
  * is essentially 1 for practical p — PARA works, at the price of a
  * memory-controller change legacy systems cannot get (the paper's
  * argument for CTA).
@@ -39,10 +39,10 @@ class ParaObserver : public ObserverDefense
 
 /**
  * Refresh-rate boosting: refreshing k times faster shortens the
- * hammer window, so only passes that fit k times the activation
- * budget trip cells.  Modeled as suppressing a pass unless a
- * 1-in-k deterministic chance lets it through — preserving the
- * paper's observation that even high rates carry no guarantee.
+ * hammer window, so only bursts that fit k times the activation
+ * budget trip cells.  Modeled as suppressing each aggressor burst
+ * unless a 1-in-k deterministic chance lets it through — preserving
+ * the paper's observation that even high rates carry no guarantee.
  */
 class RefreshBoostObserver : public ObserverDefense
 {

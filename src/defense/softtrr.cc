@@ -38,7 +38,7 @@ SoftTrrObserver::onHammer(const dram::DisturbanceEvent &event)
     slot->count += event.activations;
     if (slot->count >= threshold_) {
         // Target-row refresh: re-read the victims, restoring their
-        // charge; the pass induces no flips.
+        // charge; the burst induces no flips.
         slot->count = 0;
         ++mitigations_;
         return true;

@@ -10,7 +10,7 @@
  * adjacent (victim) rows are re-read — refreshing their cells — and
  * the counter resets.  Modeled here as a DisturbanceObserver: one
  * `onHammer` call is one sampled burst, a triggered refresh
- * suppresses the pass.
+ * suppresses that burst.
  *
  * The reproduction-scale simplification: real SoftTRR tracks only
  * rows adjacent to page-table pages; this observer tracks every

@@ -5,16 +5,6 @@ namespace ctamem::defense {
 bool
 TrrSamplerObserver::onHammer(const dram::DisturbanceEvent &event)
 {
-    if (!event.timed) {
-        // A whole-window untimed pass is one long run of identical
-        // activations: the reservoir necessarily holds the aggressor
-        // when REF arrives, so the victims are refreshed before any
-        // of the window's charge loss can accumulate.  This is why
-        // uniform hammering fails against in-DRAM TRR.
-        ++mitigations_;
-        return true;
-    }
-
     if (event.phase >= window_)
         return false; // sampler is blind past its latch window
 

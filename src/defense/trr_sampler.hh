@@ -19,10 +19,10 @@
  * The bypass the fuzzer searches for is exactly the published one:
  * lead each interval with decoy activations that monopolize the
  * sampling window, then hammer the real aggressor pair in later
- * phases where the sampler is blind.  Uniform (untimed) hammering,
- * by contrast, is a whole window of identical activations — the
- * sampler always holds the aggressor at REF time, so those passes
- * are reliably suppressed.
+ * phases where the sampler is blind.  A uniform hammer pass, by
+ * contrast, is a saturated window: each aggressor's burst leads its
+ * interval and is held at the REF that closes it, so those passes
+ * are reliably refreshed away.
  */
 
 #ifndef CTAMEM_DEFENSE_TRR_SAMPLER_HH

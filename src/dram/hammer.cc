@@ -299,8 +299,91 @@ RowHammerEngine::disturbDeviceRow(std::uint64_t bank,
     // Candidate cells: those whose trip hash is at most
     // tripLimit(intensity).  Every hash is below 2^53 (thresholds live
     // in [0,1)), so full intensity trips every vulnerable cell.
-    profile.forEachWord(
-        tripLimit(std::min(intensity, doubleSidedIntensity)), apply);
+    profile.forEachWord(tripLimit(intensity), apply);
+}
+
+bool
+RowHammerEngine::burst(std::uint64_t bank, std::uint64_t aggressor,
+                       std::uint64_t activations, std::uint64_t phase,
+                       HammerResult &result)
+{
+    if (observer_ &&
+        observer_->onHammer({bank, aggressor, activations, phase})) {
+        result.suppressed = true;
+        return false;
+    }
+
+    const Geometry &geom = module_.geometry();
+    const std::uint64_t rows = geom.rowsPerBank();
+    if (pressure_.size() <= bank)
+        pressure_.resize(geom.banks());
+    std::vector<RowPressure> &table = pressure_[bank];
+    if (table.empty())
+        table.resize(rows);
+    // A victim's `below` pressure counts activations of the device
+    // row beneath it (i.e. this aggressor when the victim sits above).
+    if (aggressor > 0) {
+        RowPressure &victim = table[aggressor - 1];
+        pendingRows_ += !victim.pending();
+        victim.above += activations;
+    }
+    if (aggressor + 1 < rows) {
+        RowPressure &victim = table[aggressor + 1];
+        pendingRows_ += !victim.pending();
+        victim.below += activations;
+    }
+    return true;
+}
+
+void
+RowHammerEngine::targetedRefresh(std::uint64_t bank,
+                                 HammerResult &result)
+{
+    if (!observer_)
+        return;
+    trrScratch_.clear();
+    observer_->onRef(trrScratch_);
+    // Every targeted refresh counts; a row past the bank end has no
+    // pressure to clear.
+    stats_.at(trrRefreshesId_).increment(trrScratch_.size());
+    const std::span<RowPressure> table = bankPressure(bank);
+    for (const std::uint64_t device_row : trrScratch_) {
+        if (device_row < table.size() && table[device_row].pending()) {
+            clearPressure(table[device_row]);
+            result.suppressed = true;
+        }
+    }
+}
+
+HammerResult
+RowHammerEngine::saturatedWindow(
+    std::uint64_t bank, std::initializer_list<std::uint64_t> aggressors)
+{
+    HammerResult result;
+    stats_.at(passesId_).increment();
+
+    // Each aggressor's window closes with its own REF: a sampler
+    // holds a window's repeated aggressor at every REF of it.
+    for (const std::uint64_t aggressor : aggressors) {
+        burst(bank, aggressor, activationsPerPass, 0, result);
+        targetedRefresh(bank, result);
+    }
+
+    // Ascending aggressors two rows apart name their neighbours in
+    // ascending device-row order (the event-sink determinism
+    // contract).  A shared victim's second visit finds its pressure
+    // cleared; row 0's lower neighbour wraps past the table.
+    const std::span<RowPressure> table = bankPressure(bank);
+    for (const std::uint64_t aggressor : aggressors) {
+        for (const std::uint64_t row : {aggressor - 1, aggressor + 1}) {
+            if (row < table.size())
+                evaluatePressure(bank, row, table[row], result);
+        }
+    }
+
+    if (result.suppressed)
+        stats_.at(suppressedPassesId_).increment();
+    return result;
 }
 
 HammerResult
@@ -309,33 +392,7 @@ RowHammerEngine::hammerRow(std::uint64_t bank, std::uint64_t row)
     const Geometry &geom = module_.geometry();
     if (bank >= geom.banks() || row >= geom.rowsPerBank())
         fatal("hammerRow: row out of range");
-
-    HammerResult result;
-    stats_.at(passesId_).increment();
-
-    const std::uint64_t aggressor = module_.deviceRow(bank, row);
-    const std::uint64_t rows = geom.rowsPerBank();
-    const bool below = aggressor > 0;
-    const bool above = aggressor + 1 < rows;
-
-    if (observer_) {
-        if (observer_->onHammer({bank, aggressor, activationsPerPass})) {
-            result.suppressed = true;
-            stats_.at(suppressedPassesId_).increment();
-            return result;
-        }
-    }
-
-    if (below)
-        disturbDeviceRow(bank, aggressor - 1, singleSidedIntensity,
-                         result);
-    if (above)
-        disturbDeviceRow(bank, aggressor + 1, singleSidedIntensity,
-                         result);
-
-    stats_.at(flips10Id_).increment(result.flips10);
-    stats_.at(flips01Id_).increment(result.flips01);
-    return result;
+    return saturatedWindow(bank, {module_.deviceRow(bank, row)});
 }
 
 HammerResult
@@ -347,44 +404,12 @@ RowHammerEngine::hammerDoubleSided(std::uint64_t bank,
         fatal("hammerDoubleSided: row out of range");
 
     const std::uint64_t victim = module_.deviceRow(bank, victim_row);
-    const std::uint64_t rows = geom.rowsPerBank();
-    if (victim == 0 || victim + 1 >= rows) {
+    if (victim == 0 || victim + 1 >= geom.rowsPerBank()) {
         // No sandwich possible at the bank edge; fall back to
-        // single-sided behaviour on the one existing neighbour
-        // (hammerRow counts the pass).
+        // single-sided behaviour on the one existing neighbour.
         return hammerRow(bank, victim_row);
     }
-
-    HammerResult result;
-    stats_.at(passesId_).increment();
-
-    bool suppressed = false;
-    if (observer_) {
-        // One event per aggressor, and both are announced: a
-        // stochastic observer draws for each.
-        suppressed |=
-            observer_->onHammer({bank, victim - 1, activationsPerPass});
-        suppressed |=
-            observer_->onHammer({bank, victim + 1, activationsPerPass});
-    }
-    if (suppressed) {
-        result.suppressed = true;
-        stats_.at(suppressedPassesId_).increment();
-        return result;
-    }
-
-    disturbDeviceRow(bank, victim, doubleSidedIntensity, result);
-    // The aggressors' outer neighbours see single-sided disturbance.
-    if (victim >= 2)
-        disturbDeviceRow(bank, victim - 2, singleSidedIntensity,
-                         result);
-    if (victim + 2 < rows)
-        disturbDeviceRow(bank, victim + 2, singleSidedIntensity,
-                         result);
-
-    stats_.at(flips10Id_).increment(result.flips10);
-    stats_.at(flips01Id_).increment(result.flips01);
-    return result;
+    return saturatedWindow(bank, {victim - 1, victim + 1});
 }
 
 void
@@ -399,42 +424,9 @@ RowHammerEngine::activate(std::uint64_t bank, std::uint64_t row,
         return;
 
     stats_.at(timedActivationsId_).increment(activations);
-
-    const std::uint64_t aggressor = module_.deviceRow(bank, row);
-    const std::uint64_t rows = geom.rowsPerBank();
-    const bool below = aggressor > 0;
-    const bool above = aggressor + 1 < rows;
-
-    if (observer_) {
-        const DisturbanceEvent event{.bank = bank,
-                                     .aggressorRow = aggressor,
-                                     .activations = activations,
-                                     .phase = phase,
-                                     .timed = true};
-        if (observer_->onHammer(event)) {
-            result.suppressed = true;
-            stats_.at(suppressedPassesId_).increment();
-            return;
-        }
-    }
-
-    if (pressure_.size() <= bank)
-        pressure_.resize(geom.banks());
-    std::vector<RowPressure> &table = pressure_[bank];
-    if (table.empty())
-        table.resize(rows);
-    // A victim's `below` pressure counts activations of the device
-    // row beneath it (i.e. this aggressor when the victim sits above).
-    if (below) {
-        RowPressure &victim = table[aggressor - 1];
-        pendingRows_ += !victim.pending();
-        victim.above += activations;
-    }
-    if (above) {
-        RowPressure &victim = table[aggressor + 1];
-        pendingRows_ += !victim.pending();
-        victim.below += activations;
-    }
+    if (!burst(bank, module_.deviceRow(bank, row), activations, phase,
+               result))
+        stats_.at(suppressedPassesId_).increment();
 }
 
 double
@@ -442,7 +434,7 @@ RowHammerEngine::pressureIntensity(const RowPressure &pressure) const
 {
     // Paired (double-sided) activations disturb at full intensity,
     // the one-sided remainder at single-sided intensity; a whole
-    // window of activations reproduces the untimed pass exactly.
+    // window of activations reproduces the pass intensities exactly.
     const std::uint64_t paired =
         2 * std::min(pressure.below, pressure.above);
     const std::uint64_t unpaired =
@@ -471,41 +463,29 @@ RowHammerEngine::evaluatePressure(std::uint64_t bank,
         return;
     const double intensity = pressureIntensity(pressure);
     clearPressure(pressure);
-    if (intensity <= 0.0)
-        return;
+    const std::uint64_t before10 = result.flips10;
+    const std::uint64_t before01 = result.flips01;
     disturbDeviceRow(bank, device_row, intensity, result);
+    stats_.at(flips10Id_).increment(result.flips10 - before10);
+    stats_.at(flips01Id_).increment(result.flips01 - before01);
 }
 
 void
 RowHammerEngine::refTick(std::uint64_t bank, HammerResult &result)
 {
     stats_.at(refTicksId_).increment();
-
-    trrScratch_.clear();
-    if (observer_)
-        observer_->onRef(trrScratch_);
-    // Every targeted refresh counts; a row past the bank end has no
-    // pressure to clear.
-    stats_.at(trrRefreshesId_).increment(trrScratch_.size());
-    const std::span<RowPressure> table = bankPressure(bank);
-    for (const std::uint64_t device_row : trrScratch_) {
-        if (device_row < table.size())
-            clearPressure(table[device_row]);
-    }
+    targetedRefresh(bank, result);
 
     // This REF refreshes the rows whose slot this interval is —
     // device rows slot, slot + refsPerWindow, ... — evaluating the
     // charge they lost since their last refresh.  Visiting them in
     // ascending order lands flips in ascending device-row order (the
     // event-sink determinism contract).
-    const std::uint64_t before10 = result.flips10;
-    const std::uint64_t before01 = result.flips01;
+    const std::span<RowPressure> table = bankPressure(bank);
     for (std::uint64_t row = refInterval_ % refTiming_.refsPerWindow;
          row < table.size(); row += refTiming_.refsPerWindow) {
         evaluatePressure(bank, row, table[row], result);
     }
-    stats_.at(flips10Id_).increment(result.flips10 - before10);
-    stats_.at(flips01Id_).increment(result.flips01 - before01);
 
     ++refInterval_;
 }
@@ -514,13 +494,9 @@ void
 RowHammerEngine::drainPressure(std::uint64_t bank,
                                HammerResult &result)
 {
-    const std::uint64_t before10 = result.flips10;
-    const std::uint64_t before01 = result.flips01;
     const std::span<RowPressure> table = bankPressure(bank);
     for (std::uint64_t row = 0; row < table.size(); ++row)
         evaluatePressure(bank, row, table[row], result);
-    stats_.at(flips10Id_).increment(result.flips10 - before10);
-    stats_.at(flips01Id_).increment(result.flips01 - before01);
 }
 
 } // namespace ctamem::dram

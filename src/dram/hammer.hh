@@ -21,31 +21,29 @@
  * Mitigations (PARA, ANVIL, refresh boosting, SoftTRR...) observe
  * activations through the DisturbanceObserver interface, implemented
  * in src/defense/ — the DRAM layer stays independent of defense
- * policy.  One pass is announced as one DisturbanceEvent per
- * aggressor row.
+ * policy.
  *
- * Two hammer paths share the disturbance math:
+ * One engine turns activations into flips against a simulated
+ * refresh clock (RefTiming).  A burst adds pressure to its
+ * aggressor's device neighbours, a REF lets TRR-style mitigations
+ * target-refresh rows (DisturbanceObserver::onRef), and a row turns
+ * its pressure into flips only when it is refreshed.  Two front ends:
  *
- *  - the *untimed* path (hammerRow/hammerDoubleSided): one call is a
- *    whole refresh window of tight activations, applied instantly —
- *    the right granularity for uniform attacks, where only counts
- *    matter;
- *  - the *timed* path (activate/refTick): the caller schedules bursts
- *    against a simulated refresh clock (RefTiming: tREFI intervals,
- *    REF commands).  Disturbance accumulates per victim row as
- *    activation pressure and is only converted into flips when the
- *    row's own refresh slot comes around; a REF also gives TRR-style
- *    mitigations their sampling opportunity (DisturbanceObserver::
- *    onRef), whose targeted refreshes clear pressure early.  This is
- *    what makes activation *timing and ordering* matter — the
- *    substrate the Blacksmith-style pattern fuzzer (src/fuzz/)
- *    searches over.
+ *  - hammerRow/hammerDoubleSided: one *saturated* refresh window —
+ *    each aggressor gets an activationsPerPass burst and the REF
+ *    closing its window, then the disturbed rows are evaluated; the
+ *    right granularity for uniform attacks, where only counts matter;
+ *  - activate/refTick: the caller schedules bursts inside tREFI
+ *    intervals, and each row is evaluated in its own refresh slot —
+ *    what makes activation *timing and ordering* matter to the
+ *    Blacksmith-style pattern fuzzer (src/fuzz/).
  */
 
 #ifndef CTAMEM_DRAM_HAMMER_HH
 #define CTAMEM_DRAM_HAMMER_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -58,12 +56,11 @@
 namespace ctamem::dram {
 
 /**
- * Geometry of the simulated refresh clock driving the timed hammer
- * path.  Defaults follow JEDEC shape: a 64 ms retention window split
- * into 8192 tREFI intervals (~7.8 us each), with room for ~160
- * activations per interval — so a pattern saturating every interval
- * issues ~1.3M activations per window, the untimed path's
- * activationsPerPass.
+ * Geometry of the simulated refresh clock driving activate/refTick.
+ * Defaults follow JEDEC shape: a 64 ms retention window split into
+ * 8192 tREFI intervals (~7.8 us each), with room for ~160 activations
+ * per interval — so a pattern saturating every interval issues ~1.3M
+ * activations per window, a saturated window's activationsPerPass.
  */
 struct RefTiming
 {
@@ -91,24 +88,23 @@ struct HammerResult
 {
     std::uint64_t flips10 = 0; //!< '1'->'0' flips applied
     std::uint64_t flips01 = 0; //!< '0'->'1' flips applied
-    bool suppressed = false;   //!< a mitigation refreshed the victims
+    bool suppressed = false;   //!< a mitigation voided or refreshed
 
     std::uint64_t total() const { return flips10 + flips01; }
 };
 
 /**
  * One burst of activations on an aggressor row, as seen by a
- * mitigation.  Untimed whole-window passes leave phase zero with timed
- * false.  Observers learn the tREFI interval of a timed burst by
- * counting their onRef() calls.
+ * mitigation.  A saturated window's bursts are phase zero of their
+ * interval.  Observers learn a burst's tREFI interval by counting
+ * their onRef() calls.
  */
 struct DisturbanceEvent
 {
     std::uint64_t bank = 0;
     std::uint64_t aggressorRow = 0; //!< device row being activated
     std::uint64_t activations = 0;
-    std::uint64_t phase = 0; //!< timed: burst position in its interval
-    bool timed = false;      //!< true for REF-clocked bursts
+    std::uint64_t phase = 0; //!< burst position in its interval
 };
 
 /** Hook for RowHammer mitigations; one call per aggressor burst. */
@@ -119,17 +115,16 @@ class DisturbanceObserver
 
     /**
      * Observe one aggressor burst.
-     * @return true when the mitigation neutralized the disturbance
-     *         (e.g. refreshed the victims) for this pass.
+     * @return true when the mitigation neutralized this burst (e.g.
+     *         refreshed its victims): the engine drops its pressure.
      */
     virtual bool onHammer(const DisturbanceEvent &event) = 0;
 
     /**
-     * One REF command retired (timed path only).  TRR-capable
-     * mitigations append the device rows they target-refresh with
-     * this REF to @p refresh_rows; the engine clears those rows'
-     * accumulated disturbance pressure.  Default: no targeted
-     * refreshes.
+     * One REF command retired.  TRR-capable mitigations append the
+     * device rows they target-refresh with this REF to
+     * @p refresh_rows; the engine clears those rows' accumulated
+     * disturbance pressure.  Default: no targeted refreshes.
      */
     virtual void onRef(std::vector<std::uint64_t> & /*refresh_rows*/) {}
 };
@@ -248,36 +243,34 @@ class RowHammerEngine
     /** @} */
 
     /**
-     * Hammer logical row @p row of @p bank for one refresh window.
-     * Disturbs the device-adjacent rows at single-sided intensity.
+     * Hammer logical row @p row of @p bank for one saturated refresh
+     * window.  Disturbs the device-adjacent rows at single-sided
+     * intensity.
      */
     HammerResult hammerRow(std::uint64_t bank, std::uint64_t row);
 
     /**
-     * Double-sided hammer: activate the logical rows directly above
-     * and below @p victim_row alternately; the sandwiched victim sees
-     * full intensity, the outer neighbours single-sided intensity.
+     * Double-sided hammer for one saturated refresh window: activate
+     * the logical rows directly above and below @p victim_row; the
+     * sandwiched victim sees full intensity, the outer neighbours
+     * single-sided intensity.  A mitigation that voids one
+     * aggressor's burst leaves the other's single-sided disturbance.
      */
     HammerResult hammerDoubleSided(std::uint64_t bank,
                                    std::uint64_t victim_row);
 
     /** @name REF-interval timed hammering
      *
-     * The timed path: activate() issues one aggressor burst inside
-     * the current tREFI interval, refTick() retires one REF command.
-     * Disturbance accumulates per victim row as (below, above)
-     * neighbour-activation pressure; a row converts its pressure into
-     * flips when its own refresh slot arrives (device row r is
-     * refreshed by the REF whose interval index matches
-     * r % refsPerWindow), then starts from full charge again.  A
-     * mitigation's onRef() targeted refreshes clear pressure early.
+     * activate() issues one aggressor burst inside the current tREFI
+     * interval, refTick() retires one REF command.  Pressure is kept
+     * per victim row as (below, above) neighbour activations; device
+     * row r is evaluated by the REF whose interval index matches
+     * r % refsPerWindow, then starts from full charge again.
      *
-     * Pressure maps onto the untimed intensities: activationsPerPass
-     * paired (double-sided) activations reach doubleSidedIntensity,
-     * activationsPerPass one-sided ones singleSidedIntensity — so
-     * giving each aggressor the activationsPerPass its untimed event
-     * announces reproduces the untimed hammer, and anything sparser
-     * or interrupted by TRR lands proportionally lower.
+     * activationsPerPass paired (double-sided) activations reach
+     * doubleSidedIntensity, as many one-sided ones
+     * singleSidedIntensity — a saturated window — and anything
+     * sparser or interrupted by TRR lands proportionally lower.
      */
     /** @{ */
     void setRefTiming(const RefTiming &timing) { refTiming_ = timing; }
@@ -286,7 +279,7 @@ class RowHammerEngine
     /**
      * Issue @p activations activations of logical row @p row within
      * the current tREFI interval, as burst number @p phase of that
-     * interval.  Announces one timed DisturbanceEvent; a suppressing
+     * interval.  Announces one DisturbanceEvent; a suppressing
      * observer voids the burst's pressure.
      */
     void activate(std::uint64_t bank, std::uint64_t row,
@@ -330,6 +323,30 @@ class RowHammerEngine
                           double intensity, HammerResult &result);
 
     /**
+     * Announce a burst on device row @p aggressor and, unless the
+     * observer voids it, add it to the neighbours' pressure.
+     * @return false when voided (@p result.suppressed is then set).
+     */
+    bool burst(std::uint64_t bank, std::uint64_t aggressor,
+               std::uint64_t activations, std::uint64_t phase,
+               HammerResult &result);
+
+    /**
+     * The observer's onRef: clear its target rows' pressure, setting
+     * @p result.suppressed when a cleared row carried any.
+     */
+    void targetedRefresh(std::uint64_t bank, HammerResult &result);
+
+    /**
+     * One saturated refresh window over @p aggressors (device rows,
+     * ascending and two apart): a burst and a REF per aggressor, then
+     * the disturbed rows are evaluated.
+     */
+    HammerResult
+    saturatedWindow(std::uint64_t bank,
+                    std::initializer_list<std::uint64_t> aggressors);
+
+    /**
      * Neighbour-activation pressure accumulated on one victim row
      * since its last refresh: activations of the device row below it
      * and of the device row above it, tracked separately so paired
@@ -360,7 +377,7 @@ class RowHammerEngine
 
     /**
      * Convert the pressure of @p device_row (its slot in @p bank's
-     * table) into flips and clear it.
+     * table) into flips and clear it: the one place flips happen.
      */
     void evaluatePressure(std::uint64_t bank, std::uint64_t device_row,
                           RowPressure &pressure, HammerResult &result);
@@ -373,12 +390,12 @@ class RowHammerEngine
     std::vector<std::uint32_t> scanBuffer_; //!< profile-build scratch
     std::vector<FlipEvent> *sink_ = nullptr;
 
-    // Timed-path state.
+    // Refresh-clock state.
     RefTiming refTiming_;
     std::uint64_t refInterval_ = 0;
     /**
      * Outstanding pressure: one table per bank, indexed by device
-     * row, allocated on the bank's first timed activation.
+     * row, allocated on the bank's first burst.
      */
     std::vector<std::vector<RowPressure>> pressure_;
     std::size_t pendingRows_ = 0; //!< rows with nonzero pressure

@@ -71,9 +71,11 @@ inline constexpr std::uint64_t kScenarioSchemaVersion = 4;
  * 6 when the self-reference scan started passing over windows that
  * escalation cannot use (read-only, or exposing a root table); 7 when
  * the fault model started drawing each frame's vulnerable cells by
- * geometric skips, which moved every module's flip map.
+ * geometric skips, which moved every module's flip map; 8 when hammer
+ * passes became saturated refresh windows on the REF-clocked engine,
+ * which moved the refresh-boost and TRR-sampler cells.
  */
-inline constexpr std::uint64_t kResultCacheEpoch = 7;
+inline constexpr std::uint64_t kResultCacheEpoch = 8;
 
 /** @name MachineConfig <-> JSON */
 /** @{ */

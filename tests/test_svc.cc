@@ -151,7 +151,7 @@ TEST(Cache, KeysSeparateCellsAndTrackSchema)
     EXPECT_EQ(cellCacheKey(CampaignCell{MachineConfig{},
                                         sim::AttackKind::ProjectZero,
                                         "key-pin"}),
-              "140b09f85a48994a");
+              "344b83ca78e5a62f");
 }
 
 TEST(Cache, MemoryTierHitsAndMisses)
