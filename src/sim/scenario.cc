@@ -240,9 +240,10 @@ machineConfigFromJson(const Json &j, const MachineConfig &base)
 void
 checkMachineConfig(const MachineConfig &config)
 {
-    // Unbuildable (arch, granule) pairs and the DRAM geometry and
-    // ZONE_PTP sizes a boot would reject fail here, where the error
-    // can name the key instead of aborting the run.
+    // Unbuildable (arch, granule) pairs, the DRAM geometry and
+    // ZONE_PTP sizes a boot would reject and fuzz bounds a pattern
+    // draw would divide by fail here, where the error can name the
+    // key instead of aborting the run.
     if (config.arch == paging::Isa::X86_64) {
         if (config.granule != 4 * KiB)
             throw JsonError("x86_64 supports only the 4 KiB granule");
@@ -267,6 +268,15 @@ checkMachineConfig(const MachineConfig &config)
                 "a power of two, a multiple of rowBytes and at most "
                 "half of memBytes",
                 config.ptpBytes);
+    // The pattern builder draws below each of these bounds.
+    const fuzz::FuzzParams &fuzz = config.fuzz;
+    for (const auto &[key, bound] :
+         {std::pair{"fuzz.maxPeriod", fuzz.builder.maxPeriod},
+          std::pair{"fuzz.maxSlots", fuzz.builder.maxSlots},
+          std::pair{"fuzz.maxEntries", fuzz.builder.maxEntries},
+          std::pair{"fuzz.actsPerInterval",
+                    fuzz.timing.actsPerInterval}})
+        requireSize(bound > 0, key, "at least 1", bound);
 }
 
 Json

@@ -92,9 +92,9 @@ MachineConfig machineConfigFromJson(const json::Json &j,
 /**
  * The checks machineConfigFromJson applies to every parsed config:
  * throws json::JsonError naming the key when @p config has an
- * unbuildable (arch, granule) pair or DRAM or ZONE_PTP sizes a boot
- * would reject.  For configs built in code, e.g. from command-line
- * flags.
+ * unbuildable (arch, granule) pair, DRAM or ZONE_PTP sizes a boot
+ * would reject, or a zero fuzz bound.  For configs built in code,
+ * e.g. from command-line flags.
  */
 void checkMachineConfig(const MachineConfig &config);
 /** @} */

@@ -243,6 +243,11 @@ TEST(Scenario, ManifestSchemaViolationsThrow)
         {"ptpBytes", R"({"ptpBytes": 65536})"},
         {"ptpBytes", R"({"ptpBytes": 268435456})"},
         {"ptpBytes", R"({"memBytes": 67108864, "ptpBytes": 67108864})"},
+        // Bounds of the pattern builder's random draws.
+        {"maxPeriod", R"({"fuzz": {"maxPeriod": 0}})"},
+        {"maxSlots", R"({"fuzz": {"maxSlots": 0}})"},
+        {"maxEntries", R"({"fuzz": {"maxEntries": 0}})"},
+        {"actsPerInterval", R"({"fuzz": {"actsPerInterval": 0}})"},
     };
     for (const auto &[key, base] : badSizes) {
         Json manifest = Json::parse(
