@@ -355,6 +355,8 @@ TEST(TrrSampler, UniformHammerIsReliablySuppressed)
         machine.runAttack(sim::AttackKind::UniformHammer);
     EXPECT_EQ(result.outcome, attack::Outcome::Detected);
     EXPECT_EQ(result.flipsInduced, 0u);
+    // The passes are refreshed away by the sampler's own REFs.
+    EXPECT_GT(machine.engine().stats().value("trrRefreshes"), 0u);
 }
 
 TEST(PatternFuzzer, EvolvesATrrSamplerBypass)

@@ -2,10 +2,12 @@
  * @file
  * Equivalence properties of the mask-based disturbance engine.
  *
- * Two contracts pin the engine down:
+ * Three contracts pin the engine down:
  *  - the bit-parallel hammer path produces exactly the flips of the
  *    retained scalar reference implementation, cell for cell, on
- *    randomized modules and data patterns; and
+ *    randomized modules and data patterns;
+ *  - a mitigation that voids one aggressor's burst drops only that
+ *    aggressor's disturbance; and
  *  - every table defense decides on the bank, row and activation count
  *    a DisturbanceEvent carries.
  */
@@ -216,6 +218,52 @@ TEST(HammerEquivalence, SaturatedTimedWindowMatchesUntimedPasses)
             << "double " << double_sided;
         expectStoresEqual(untimed, timed);
     }
+}
+
+/** Voids every burst on one device row, and only those. */
+struct RowVoidingObserver : DisturbanceObserver
+{
+    std::uint64_t voided;
+    explicit RowVoidingObserver(std::uint64_t row) : voided(row) {}
+    bool
+    onHammer(const DisturbanceEvent &event) override
+    {
+        return event.aggressorRow == voided;
+    }
+};
+
+TEST(HammerEquivalence, VoidedAggressorLeavesItsPartnersSingleSidedPass)
+{
+    // Voiding the burst on victim - 1 leaves the burst on victim + 1
+    // standing, so the double-sided pass flips exactly the cells a
+    // single-sided pass on victim + 1 flips, and reports the
+    // mitigation.
+    constexpr std::uint64_t bank = 1;
+    constexpr std::uint64_t victim = 9;
+    DramModule doubled(equivConfig(0x5a7, 1e-2));
+    DramModule single(equivConfig(0x5a7, 1e-2));
+    std::mt19937_64 patterns(0xe9005);
+    for (std::uint64_t row = victim - 3; row <= victim + 3; ++row)
+        fillRowRandom(doubled, single, bank, row, patterns());
+    RowVoidingObserver observer(victim - 1);
+    RowHammerEngine doubled_engine(doubled, &observer);
+    RowHammerEngine single_engine(single);
+    std::vector<FlipEvent> doubled_events;
+    std::vector<FlipEvent> single_events;
+    doubled_engine.setEventSink(&doubled_events);
+    single_engine.setEventSink(&single_events);
+
+    const HammerResult got =
+        doubled_engine.hammerDoubleSided(bank, victim);
+    const HammerResult expected =
+        single_engine.hammerRow(bank, victim + 1);
+
+    EXPECT_TRUE(got.suppressed);
+    EXPECT_GT(expected.total(), 0u);
+    EXPECT_EQ(got.flips10, expected.flips10);
+    EXPECT_EQ(got.flips01, expected.flips01);
+    EXPECT_EQ(canonical(doubled_events), canonical(single_events));
+    expectStoresEqual(doubled, single);
 }
 
 /** Records every DisturbanceEvent it sees; never suppresses. */
