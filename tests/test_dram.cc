@@ -419,6 +419,84 @@ TEST(FaultModel, AntiCellsMirrorDirections)
     }
 }
 
+/** Address and bit of each vulnerable cell of @p frames frames. */
+std::vector<std::pair<Addr, unsigned>>
+vulnerableCellsOf(const FaultModel &faults, Pfn first, Pfn frames)
+{
+    std::vector<std::pair<Addr, unsigned>> out;
+    for (Pfn pfn = first; pfn < first + frames; ++pfn) {
+        for (const std::uint32_t cell : cellsOfFrame(faults, pfn))
+            out.emplace_back(pfnToAddr(pfn) + cell / 8, cell % 8);
+    }
+    return out;
+}
+
+/**
+ * Exact two-sided binomial test: twice the smaller tail of
+ * Binomial(@p n, @p p) at @p k, capped at 1.
+ */
+double
+binomialTwoSidedP(std::uint64_t k, std::uint64_t n, double p)
+{
+    double lower = 0.0; // P(X <= k)
+    double upper = 0.0; // P(X >= k)
+    for (std::uint64_t j = 0; j <= n; ++j) {
+        const double pmf = std::exp(
+            std::lgamma(n + 1.0) - std::lgamma(j + 1.0) -
+            std::lgamma(n - j + 1.0) + j * std::log(p) +
+            (n - j) * std::log1p(-p));
+        lower += j <= k ? pmf : 0.0;
+        upper += j >= k ? pmf : 0.0;
+    }
+    return std::min(1.0, 2.0 * std::min(lower, upper));
+}
+
+TEST(FaultModel, TripThresholdsAreUniform)
+{
+    // A pass of intensity i trips the vulnerable cells whose threshold
+    // is at most i, so a single-sided pass trips a singleSidedIntensity
+    // share of them only if thresholds are U[0,1).
+    const FaultModel faults = modelAt(0x7e5, 3e-2);
+    std::vector<double> thresholds;
+    for (const auto &[addr, bit] : vulnerableCellsOf(faults, 0, 64))
+        thresholds.push_back(faults.tripThreshold(addr, bit));
+    std::sort(thresholds.begin(), thresholds.end());
+    const double n = static_cast<double>(thresholds.size());
+    double distance = 0.0;
+    for (std::size_t i = 0; i < thresholds.size(); ++i) {
+        distance = std::max({distance, (i + 1.0) / n - thresholds[i],
+                             thresholds[i] - i / n});
+    }
+    EXPECT_GE(thresholds.size(), 50000u);
+    // Kolmogorov's 0.1% critical value.
+    EXPECT_LT(distance, 1.95 / std::sqrt(n)) << "over " << n << " cells";
+}
+
+TEST(FaultModel, DominantDirectionShareMatchesP10)
+{
+    // Among a cell type's vulnerable cells, the count leaking in the
+    // type's direction ('1'->'0' in true cells, '0'->'1' in
+    // anti-cells) is Binomial(cells, p10True()).  Each type is drawn
+    // from its own frames.
+    const FaultModel faults = modelAt(0xd1e, 3e-2);
+    Pfn first = 0;
+    for (const auto &[type, leak] :
+         {std::pair{CellType::True, FlipDirection::OneToZero},
+          std::pair{CellType::Anti, FlipDirection::ZeroToOne}}) {
+        const auto cells = vulnerableCellsOf(faults, first, 256);
+        first += 256;
+        std::uint64_t dominant = 0;
+        for (const auto &[addr, bit] : cells)
+            dominant += faults.flipDirection(addr, bit, type) == leak;
+        EXPECT_GE(cells.size(), 200000u);
+        EXPECT_GT(binomialTwoSidedP(dominant, cells.size(),
+                                    faults.stats().p10True()),
+                  1e-3)
+            << dominant << " of " << cells.size() << " cells in "
+            << (type == CellType::True ? "true" : "anti") << " rows";
+    }
+}
+
 TEST(FaultModel, StablePropertiesAcrossQueries)
 {
     FaultModel faults(42, ErrorStats{});
