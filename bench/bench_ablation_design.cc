@@ -7,8 +7,15 @@
  *  2. the cell-interleave period N — capacity-loss sensitivity;
  *  3. multi-level zones + PS-bit screening — frames sacrificed vs
  *     the Section 7 page-size attack outcome.
+ *
+ * Exits 1 unless each section's claim holds: min-zeros 2 cuts
+ * E[exploitable] a millionfold against min-zeros 0 for under 5% of
+ * memory reserved; the worst-case loss at N = 1024 is four times that
+ * at N = 256; and the page-size attack escalates without screening
+ * and is blocked, with frames screened, with it.
  */
 
+#include <cmath>
 #include <iomanip>
 #include <iostream>
 
@@ -25,7 +32,7 @@ namespace {
 
 using namespace ctamem;
 
-void
+bool
 restrictionSweep()
 {
     std::cout << "1. Indicator-restriction depth (8 GiB, 32 MiB "
@@ -34,6 +41,9 @@ restrictionSweep()
               << std::setw(16) << "E[exploitable]" << std::setw(16)
               << "attack days" << std::setw(20)
               << "reserved memory %" << '\n';
+    double unrestricted = 0;
+    double restricted = 0;
+    double restricted_reserved_pct = 0;
     for (const unsigned zeros : sim::scenarios::restrictionDepths()) {
         model::SystemParams params;
         params.minIndicatorZeros = zeros;
@@ -48,6 +58,12 @@ restrictionSweep()
             reserved += choose(n, k);
         const double reserved_pct =
             reserved / static_cast<double>(1ULL << n) * 100.0;
+        if (zeros == 0)
+            unrestricted = expected;
+        if (zeros == 2) {
+            restricted = expected;
+            restricted_reserved_pct = reserved_pct;
+        }
         std::cout << std::setw(12) << zeros << std::setw(16)
                   << std::setprecision(4) << expected << std::setw(16)
                   << time.avgDays << std::setw(20)
@@ -55,10 +71,16 @@ restrictionSweep()
     }
     std::cout << "(the paper picks 2: E[PTEs] drops 6 orders of "
                  "magnitude for 3.1% of memory reserved to "
-                 "kernel/trusted use)\n\n";
+                 "kernel/trusted use)\n";
+    const bool holds = unrestricted >= 1e6 * restricted &&
+                       restricted_reserved_pct < 5.0;
+    std::cout << "min zeros 2 cuts E[exploitable] >= 1e6x for < 5% "
+                 "reserved: "
+              << (holds ? "YES" : "NO") << "\n\n";
+    return holds;
 }
 
-void
+bool
 periodSweep()
 {
     std::cout << "2. Cell-interleave period N (8 GiB, 32 MiB "
@@ -67,10 +89,14 @@ periodSweep()
               << std::setw(16) << "stripe size" << std::setw(22)
               << "worst-case loss %" << std::setw(18)
               << "anti-top loss %" << '\n';
+    double worst256 = 0;
+    double worst1024 = 0;
     for (const std::uint64_t period :
          sim::scenarios::interleavePeriods()) {
         const double worst = model::worstCaseLossFraction(
             period, 128 * KiB, 8 * GiB, 32 * MiB);
+        worst256 = period == 256 ? worst : worst256;
+        worst1024 = period == 1024 ? worst : worst1024;
         const model::CapacityLoss actual =
             model::analyzeCapacityLoss(
                 dram::CellTypeMap::alternating(period), 8 * GiB,
@@ -82,10 +108,15 @@ periodSweep()
                   << actual.lossFraction(8 * GiB) * 100.0 << '\n';
     }
     std::cout << "(loss scales with the stripe size, not with "
-                 "ZONE_PTP: one skipped stripe dominates)\n\n";
+                 "ZONE_PTP: one skipped stripe dominates)\n";
+    const bool holds =
+        worst256 > 0 && std::abs(worst1024 / worst256 - 4.0) < 1e-9;
+    std::cout << "worst-case loss at N = 1024 is 4x that at N = 256: "
+              << (holds ? "YES" : "NO") << "\n\n";
+    return holds;
 }
 
-void
+bool
 screeningAblation()
 {
     std::cout << "3. Multi-level zones + PS-bit screening vs the "
@@ -95,6 +126,7 @@ screeningAblation()
               << "screening" << std::setw(18) << "screened frames"
               << std::setw(18) << "attack outcome" << '\n';
 
+    bool holds = true;
     for (const sim::scenarios::ScreeningCase &ablation :
          sim::scenarios::screeningCases()) {
         const kernel::KernelConfig config =
@@ -105,18 +137,26 @@ screeningAblation()
         const attack::AttackResult result = attack::runPageSizeAttack(
             kernel, engine,
             /*sweep_from_top=*/!ablation.multiLevelZones);
+        const std::uint64_t screened =
+            kernel.ptpLayout()->screenedFrames;
         std::cout << std::setw(10) << ablation.pf << std::setw(14)
                   << (ablation.multiLevelZones ? "yes" : "no")
                   << std::setw(12)
                   << (ablation.screenPageSizeBit ? "yes" : "no")
-                  << std::setw(18)
-                  << kernel.ptpLayout()->screenedFrames
-                  << std::setw(18)
+                  << std::setw(18) << screened << std::setw(18)
                   << attack::outcomeName(result.outcome) << '\n';
+        holds &= ablation.screenPageSizeBit ?
+                     result.outcome == attack::Outcome::Blocked &&
+                         screened > 0 :
+                     result.outcome == attack::Outcome::Escalated;
     }
     std::cout << "(without screening, large-page PS bits in "
                  "true-cells are a '1'->'0' target; screening "
                  "removes every exploitable PD frame)\n";
+    std::cout << "escalated without screening, blocked with frames "
+                 "screened: "
+              << (holds ? "YES" : "NO") << '\n';
+    return holds;
 }
 
 } // namespace
@@ -124,8 +164,9 @@ screeningAblation()
 int
 main()
 {
-    restrictionSweep();
-    periodSweep();
-    screeningAblation();
-    return 0;
+    // Every section runs and prints, whichever claim fails.
+    const bool restriction = restrictionSweep();
+    const bool period = periodSweep();
+    const bool screening = screeningAblation();
+    return restriction && period && screening ? 0 : 1;
 }

@@ -5,8 +5,10 @@
  * the dominant flip direction is upward and the expected number of
  * exploitable PTEs explodes (paper: 3354.7, attack time 3.2 hours) —
  * demonstrating that CTA, not the zone boundary, carries the defense.
+ * Exits 1 when either expectation misses the paper's by more than 1%.
  */
 
+#include <cmath>
 #include <iomanip>
 #include <iostream>
 
@@ -25,11 +27,15 @@ main()
               << std::setw(18) << "E[exploitable]" << std::setw(18)
               << "attack time" << '\n';
 
+    bool matches = true;
     for (const auto &[label, cells] :
          sim::scenarios::lwmZoneCases()) {
         SystemParams params;
         params.zoneCells = cells;
         const double expected = expectedExploitablePtes(params);
+        const double paper =
+            cells == dram::CellType::True ? 6.7 : 3354.7;
+        matches &= std::abs(expected - paper) <= 0.01 * paper;
         const AttackTime time = expectedAttackTime(params);
         std::cout << std::setw(28) << label << std::setw(18)
                   << std::setprecision(6) << expected;
@@ -46,5 +52,7 @@ main()
     std::cout << "\npaper reference: true-cells 6.7 PTEs / 57.6 days "
                  "(unrestricted); anti-cells 3354.7 PTEs / 3.2 "
                  "hours.\n";
-    return 0;
+    std::cout << "E[exploitable] within 1% of the paper: "
+              << (matches ? "YES" : "NO") << '\n';
+    return matches ? 0 : 1;
 }
