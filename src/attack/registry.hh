@@ -45,7 +45,7 @@ enum class AttackKind : std::uint8_t
     Algorithm1,        //!< the paper's CTA-tailored brute force
     RemapBypass,       //!< row re-mapping vs address-space isolation
     DoubleOwnedBypass, //!< device buffers inside the kernel zone
-    UniformHammer,     //!< untimed whole-window double-sided passes
+    UniformHammer,     //!< saturated-window double-sided passes
     SyncHammer,        //!< REF-synchronized pair (fixed "sync" family)
     FuzzHammer,        //!< replay the PatternFuzzer's best pattern
     NumAttacks,        //!< not an attack: the row count of kAttacks

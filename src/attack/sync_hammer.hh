@@ -8,9 +8,9 @@
  * page-table frames) and the self-reference exploitation chain; they
  * differ only in *how* the sandwiched victims are hammered:
  *
- *  - runUniformHammer: untimed whole-window double-sided passes —
- *    the baseline in-DRAM TRR reliably suppresses (the sampler
- *    always holds a monotonously repeated aggressor at REF time);
+ *  - runUniformHammer: saturated-window double-sided passes — the
+ *    baseline in-DRAM TRR reliably suppresses (the sampler always
+ *    holds a monotonously repeated aggressor at REF time);
  *  - runSyncHammer: replays the fixed "sync" pattern family through
  *    the engine's timed path — REF-synchronized, but with no decoy
  *    structure, so a sampler that catches either aggressor still
@@ -36,7 +36,7 @@ namespace ctamem::attack {
 
 /**
  * All three spray 32 mappings of 64 KiB with two aggressor pages
- * each; the uniform attack hammers up to four untimed rounds.
+ * each; the uniform attack hammers up to four rounds of passes.
  */
 AttackResult runUniformHammer(kernel::Kernel &kernel,
                               dram::RowHammerEngine &engine,
