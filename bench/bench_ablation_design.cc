@@ -95,8 +95,10 @@ periodSweep()
          sim::scenarios::interleavePeriods()) {
         const double worst = model::worstCaseLossFraction(
             period, 128 * KiB, 8 * GiB, 32 * MiB);
-        worst256 = period == 256 ? worst : worst256;
-        worst1024 = period == 1024 ? worst : worst1024;
+        if (period == 256)
+            worst256 = worst;
+        if (period == 1024)
+            worst1024 = worst;
         const model::CapacityLoss actual =
             model::analyzeCapacityLoss(
                 dram::CellTypeMap::alternating(period), 8 * GiB,
