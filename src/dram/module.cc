@@ -1,5 +1,7 @@
 #include "dram/module.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 
 namespace ctamem::dram {
@@ -78,53 +80,32 @@ DramModule::remapRow(std::uint64_t bank, std::uint64_t row,
 }
 
 void
-DramModule::advance(SimTime dt, double celsius)
-{
-    if (refreshEnabled_)
-        return;
-    unrefreshedTime_ += dt;
-    decayTouchedFrames(unrefreshedTime_, celsius);
-}
-
-void
 DramModule::powerOff(SimTime duration, double celsius)
-{
-    const bool was_enabled = refreshEnabled_;
-    refreshEnabled_ = false;
-    advance(duration, celsius);
-    refreshEnabled_ = was_enabled;
-    if (refreshEnabled_)
-        unrefreshedTime_ = 0;
-}
-
-void
-DramModule::decayTouchedFrames(SimTime unrefreshed, double celsius)
 {
     Counter &decayed = stats_.at(decayedBitsId_);
     for (Pfn pfn : store_.touchedFrames()) {
         const Addr base = pfnToAddr(pfn);
-        const CellType type = cellTypeAt(base);
-        const std::uint8_t discharged_byte =
-            dischargedBit(type) ? 0xff : 0x00;
-        for (std::uint64_t off = 0; off < pageSize; ++off) {
-            const Addr addr = base + off;
-            std::uint8_t byte = store_.readByte(addr);
-            if (byte == discharged_byte)
-                continue; // nothing left to leak
-            for (unsigned bit = 0; bit < 8; ++bit) {
-                const bool value = (byte >> bit) & 1;
-                if (value == dischargedBit(type))
-                    continue;
-                if (faults_.retentionTime(addr, bit, celsius) <
-                    unrefreshed) {
-                    byte = static_cast<std::uint8_t>(
-                        dischargedBit(type) ?
-                            byte | (1u << bit) :
-                            byte & ~(1u << bit));
-                    decayed.increment();
+        // A frame lies in one row, so one cell type: every bit of it
+        // leaks toward the same discharged value.
+        const std::uint64_t discharged =
+            dischargedBit(cellTypeAt(base)) ? ~0ULL : 0;
+        for (Addr addr = base; addr < base + pageSize; addr += 8) {
+            const std::uint64_t word = store_.readU64(addr);
+            // Lane byte * 8 + bit of a little-endian word is that
+            // bit of the byte at addr + byte.
+            std::uint64_t leaked = 0;
+            for (std::uint64_t charged = word ^ discharged; charged;
+                 charged &= charged - 1) {
+                const unsigned lane = std::countr_zero(charged);
+                if (faults_.retentionTime(addr + lane / 8, lane % 8,
+                                          celsius) < duration) {
+                    leaked |= 1ULL << lane;
                 }
             }
-            store_.writeByte(addr, byte);
+            if (leaked) {
+                store_.writeU64(addr, word ^ leaked);
+                decayed.increment(std::popcount(leaked));
+            }
         }
     }
 }

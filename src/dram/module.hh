@@ -1,7 +1,7 @@
 /**
  * @file
  * The simulated DRAM module: data storage, cell-type map, fault
- * model, refresh/decay behaviour, and row re-mapping.
+ * model, power-off decay, and row re-mapping.
  *
  * Data is addressed by *logical* physical address (what the memory
  * controller sees).  Row re-mapping (manufacturers replacing a faulty
@@ -136,52 +136,24 @@ class DramModule
     std::size_t remapCount() const { return remapByLogical_.size() / 2; }
     /** @} */
 
-    /** @name Refresh and decay */
-    /** @{ */
-    bool refreshEnabled() const { return refreshEnabled_; }
-
     /**
-     * Enable/disable refresh.  Re-enabling restores charge in every
-     * cell that has not yet decayed, so the unrefreshed-time clock
-     * resets; already-decayed cells keep their corrupted value until
-     * rewritten.
-     */
-    void
-    setRefreshEnabled(bool enabled)
-    {
-        refreshEnabled_ = enabled;
-        if (enabled)
-            unrefreshedTime_ = 0;
-    }
-
-    /**
-     * Advance simulated time.  If refresh is disabled (or the module
-     * is powered off), cells whose retention time at @p celsius is
-     * shorter than the accumulated unrefreshed interval decay to
-     * their discharged value.
-     */
-    void advance(SimTime dt, double celsius = 20.0);
-
-    /**
-     * Model a power-off of @p duration at @p celsius: equivalent to
-     * advancing that long with refresh disabled, then restoring the
-     * previous refresh setting.
+     * Model a power-off of @p duration at @p celsius: every
+     * materialized cell whose retention time at @p celsius is shorter
+     * than @p duration leaks to its discharged value.  Each call
+     * starts from refreshed cells, so two short power-offs do not add
+     * up to one long one; decayed cells keep their corrupted value
+     * until rewritten.
      */
     void powerOff(SimTime duration, double celsius = 20.0);
-    /** @} */
 
-    /** Event counters: decayedBits, remaps, reads, writes. */
+    /** Event counters: decayedBits, remaps. */
     StatGroup &stats() { return stats_; }
 
   private:
-    void decayTouchedFrames(SimTime unrefreshed, double celsius);
-
     DramConfig config_;
     Geometry geometry_;
     FaultModel faults_;
     SparseStore store_;
-    bool refreshEnabled_ = true;
-    SimTime unrefreshedTime_ = 0;
 
     /**
      * (bank, logical row) -> device row for re-mapped rows.  Swaps

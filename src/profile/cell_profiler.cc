@@ -20,7 +20,7 @@ CellTypeProfiler::sampleAddresses(std::uint64_t bank,
     const std::uint64_t window =
         std::min<std::uint64_t>(geom.rowBytes(), pageSize);
     const std::uint64_t count =
-        std::min<std::uint64_t>(sampleBytes_, window);
+        std::min<std::uint64_t>(kSampleBytes, window);
     const std::uint64_t stride = window / count;
     std::vector<Addr> addrs;
     addrs.reserve(count);
@@ -51,11 +51,8 @@ CellTypeProfiler::classifyRows(std::uint64_t bank,
         for (Addr addr : sampleAddresses(bank, row))
             module_.writeByte(addr, 0xff);
 
-    // Step 2: let charge leak with refresh disabled.
-    const bool was_enabled = module_.refreshEnabled();
-    module_.setRefreshEnabled(false);
-    module_.advance(settleTime_);
-    module_.setRefreshEnabled(was_enabled);
+    // Step 2: let charge leak with the module powered off.
+    module_.powerOff(kSettleTime);
 
     // Step 3: read back; majority of leaked-to-'0' bits => true-cells.
     std::vector<CellType> types;

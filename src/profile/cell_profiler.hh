@@ -3,8 +3,8 @@
  * System-level DRAM cell-type identification (Section 2.2 of the
  * paper).
  *
- * Protocol: write logical '1' to every cell under test, disable
- * refresh, wait longer than the retention time of most cells, and
+ * Protocol: write logical '1' to every cell under test, power the
+ * module off for longer than the retention time of most cells, and
  * read back.  True-cells (charged = '1') leak to '0'; anti-cells
  * (write of '1' put them in the discharged state) still read '1'.
  * The profiler classifies each row by majority vote over sampled
@@ -42,25 +42,27 @@ class CellTypeProfiler
 {
   public:
     /**
-     * @param module      the module under test (its data is destroyed
-     *                    in the profiled range — run at boot)
-     * @param settle_time unrefreshed wait; must exceed the retention
-     *                    of essentially all cells (default 5 minutes)
-     * @param sample_bytes bytes sampled per row for the majority vote
+     * Power-off wait: exceeds the 20 C retention of essentially all
+     * cells.
      */
-    explicit CellTypeProfiler(dram::DramModule &module,
-                              SimTime settle_time = 300 * seconds,
-                              std::uint64_t sample_bytes = 64)
-        : module_(module), settleTime_(settle_time),
-          sampleBytes_(sample_bytes)
+    static constexpr SimTime kSettleTime = 300 * seconds;
+    /** Bytes sampled per row for the majority vote. */
+    static constexpr std::uint64_t kSampleBytes = 64;
+
+    /**
+     * @param module the module under test (its data is destroyed in
+     *               the profiled range — run at boot)
+     */
+    explicit CellTypeProfiler(dram::DramModule &module)
+        : module_(module)
     {}
 
     /** Classify a single row of a bank using the full protocol. */
     dram::CellType classifyRow(std::uint64_t bank, std::uint64_t row);
 
     /**
-     * Classify rows [first_row, last_row] of @p bank in one
-     * disable-refresh pass and return per-row types.
+     * Classify rows [first_row, last_row] of @p bank in one power-off
+     * and return per-row types.
      */
     std::vector<dram::CellType>
     classifyRows(std::uint64_t bank, std::uint64_t first_row,
@@ -85,8 +87,6 @@ class CellTypeProfiler
                                       std::uint64_t row) const;
 
     dram::DramModule &module_;
-    SimTime settleTime_;
-    std::uint64_t sampleBytes_;
 };
 
 } // namespace ctamem::profile

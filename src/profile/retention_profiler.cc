@@ -9,32 +9,27 @@ namespace ctamem::profile {
 using dram::CellType;
 
 bool
-RetentionProfiler::decaysWithin(Addr addr, unsigned bit, SimTime wait,
-                                double celsius)
+RetentionProfiler::decaysWithin(Addr addr, unsigned bit, SimTime wait)
 {
     const CellType type = module_.cellTypeAt(addr);
     module_.store().writeBit(addr, bit, dram::chargedBit(type));
-    const bool was_enabled = module_.refreshEnabled();
-    module_.setRefreshEnabled(false);
-    module_.advance(wait, celsius);
-    module_.setRefreshEnabled(was_enabled);
+    module_.powerOff(wait, kCelsius);
     return module_.store().readBit(addr, bit) ==
            dram::dischargedBit(type);
 }
 
 CellRetention
-RetentionProfiler::measure(Addr addr, unsigned bit, double celsius,
-                           SimTime tolerance)
+RetentionProfiler::measure(Addr addr, unsigned bit)
 {
     const CellType type = module_.cellTypeAt(addr);
-    if (!decaysWithin(addr, bit, cap_, celsius))
-        return CellRetention{addr, bit, type, cap_, true};
+    if (!decaysWithin(addr, bit, kCap))
+        return CellRetention{addr, bit, type, kCap, true};
 
-    SimTime lo = 0;  // holds at lo
-    SimTime hi = cap_; // decays by hi
-    while (hi - lo > tolerance) {
+    SimTime lo = 0;    // holds at lo
+    SimTime hi = kCap; // decays by hi
+    while (hi - lo > kTolerance) {
         const SimTime mid = lo + (hi - lo) / 2;
-        if (decaysWithin(addr, bit, mid, celsius))
+        if (decaysWithin(addr, bit, mid))
             hi = mid;
         else
             lo = mid;
@@ -44,7 +39,7 @@ RetentionProfiler::measure(Addr addr, unsigned bit, double celsius,
 
 std::vector<CellRetention>
 RetentionProfiler::profileRegion(Addr base, std::uint64_t length,
-                                 std::uint64_t samples, double celsius)
+                                 std::uint64_t samples)
 {
     if (samples == 0 || length == 0)
         fatal("profileRegion: empty region or zero samples");
@@ -57,8 +52,7 @@ RetentionProfiler::profileRegion(Addr base, std::uint64_t length,
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t cell = i * stride;
         results.push_back(measure(base + cell / 8,
-                                  static_cast<unsigned>(cell % 8),
-                                  celsius));
+                                  static_cast<unsigned>(cell % 8)));
     }
     std::sort(results.begin(), results.end(),
               [](const CellRetention &a, const CellRetention &b) {
@@ -70,10 +64,10 @@ RetentionProfiler::profileRegion(Addr base, std::uint64_t length,
 std::vector<CellRetention>
 RetentionProfiler::findCanaries(Addr base, std::uint64_t length,
                                 std::uint64_t count,
-                                std::uint64_t samples, double celsius)
+                                std::uint64_t samples)
 {
     std::vector<CellRetention> sorted =
-        profileRegion(base, length, samples, celsius);
+        profileRegion(base, length, samples);
     if (sorted.size() > count)
         sorted.resize(count);
     return sorted;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Retention-time profiling: measures how long individual cells hold
- * charge, using only read/write/refresh-control operations (the same
+ * charge, using only reads, writes and power-offs (the same
  * system-level access a bootloader has).  Used by the cold-boot
  * defense (Section 8) to select long-retention canary cells.
  */
@@ -33,25 +33,27 @@ struct CellRetention
 class RetentionProfiler
 {
   public:
+    /** Longest power-off the profiler will attempt. */
+    static constexpr SimTime kCap = 600 * seconds;
+    /** Width of the interval a measurement narrows down to. */
+    static constexpr SimTime kTolerance = 50 * milliseconds;
+    /** Ambient temperature every measurement is taken at. */
+    static constexpr double kCelsius = 20.0;
+
     /**
      * @param module the module under test (sampled cells' data is
      *               destroyed)
-     * @param cap    longest wait the profiler will attempt
      */
-    explicit RetentionProfiler(dram::DramModule &module,
-                               SimTime cap = 600 * seconds)
-        : module_(module), cap_(cap)
+    explicit RetentionProfiler(dram::DramModule &module)
+        : module_(module)
     {}
 
     /**
-     * Measure the retention of one cell at @p celsius by binary
-     * search over unrefreshed wait times: charge the cell, disable
-     * refresh, wait, read back; repeat narrowing the interval.
-     * Accurate to @p tolerance.
+     * Measure the retention of one cell by binary search over
+     * power-off times: charge the cell, power off, read back; repeat
+     * narrowing the interval to kTolerance.
      */
-    CellRetention measure(Addr addr, unsigned bit,
-                          double celsius = 20.0,
-                          SimTime tolerance = 50 * milliseconds);
+    CellRetention measure(Addr addr, unsigned bit);
 
     /**
      * Profile @p samples evenly spaced cells in [base, base+length)
@@ -59,7 +61,7 @@ class RetentionProfiler
      */
     std::vector<CellRetention>
     profileRegion(Addr base, std::uint64_t length,
-                  std::uint64_t samples, double celsius = 20.0);
+                  std::uint64_t samples);
 
     /**
      * The @p count longest-retention cells of a region: the canary
@@ -67,15 +69,13 @@ class RetentionProfiler
      */
     std::vector<CellRetention>
     findCanaries(Addr base, std::uint64_t length, std::uint64_t count,
-                 std::uint64_t samples = 4096, double celsius = 20.0);
+                 std::uint64_t samples = 4096);
 
   private:
-    /** True iff the cell decayed after @p wait unrefreshed. */
-    bool decaysWithin(Addr addr, unsigned bit, SimTime wait,
-                      double celsius);
+    /** True iff the cell decayed during a power-off of @p wait. */
+    bool decaysWithin(Addr addr, unsigned bit, SimTime wait);
 
     dram::DramModule &module_;
-    SimTime cap_;
 };
 
 } // namespace ctamem::profile

@@ -12,6 +12,7 @@
 
 #include "common/bitops.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "dram/cell_types.hh"
 #include "dram/fault_model.hh"
 #include "dram/geometry.hh"
@@ -539,9 +540,7 @@ TEST(Module, DecayDrivesTowardDischargedValue)
         module.writeByte(true_addr + i, 0xff);
         module.writeByte(anti_addr + i, 0x00);
     }
-    module.setRefreshEnabled(false);
-    module.advance(600 * seconds);
-    module.setRefreshEnabled(true);
+    module.powerOff(600 * seconds);
 
     // Essentially everything decays after 10 minutes.
     std::uint64_t true_ones = 0;
@@ -555,26 +554,60 @@ TEST(Module, DecayDrivesTowardDischargedValue)
     EXPECT_GT(module.stats().value("decayedBits"), 0u);
 }
 
-TEST(Module, RefreshPreventsDecay)
+TEST(Module, DecayMatchesPerCellRetention)
 {
     DramModule module(smallConfig());
-    module.writeByte(0, 0xff);
-    module.advance(600 * seconds); // refresh enabled: no decay
-    EXPECT_EQ(module.readByte(0), 0xff);
+    // Random data in one true-cell frame and one anti-cell frame, so
+    // both charged values sit in every word.
+    const Addr frames[] = {0, 64 * 128 * KiB};
+    Rng rng(11);
+    std::vector<std::uint8_t> before;
+    for (const Addr base : frames) {
+        for (unsigned i = 0; i < pageSize; ++i) {
+            before.push_back(static_cast<std::uint8_t>(rng.next()));
+            module.writeByte(base + i, before.back());
+        }
+    }
+    // About the median retention at 20 C: roughly half the charged
+    // cells leak.
+    const SimTime off = 1500 * milliseconds;
+    module.powerOff(off);
+
+    std::uint64_t leaked = 0;
+    std::size_t index = 0;
+    for (const Addr base : frames) {
+        const bool discharged = dischargedBit(module.cellTypeAt(base));
+        for (unsigned i = 0; i < pageSize; ++i, ++index) {
+            const std::uint8_t now = module.readByte(base + i);
+            for (unsigned bit = 0; bit < 8; ++bit) {
+                const bool was = (before[index] >> bit) & 1;
+                const bool leaks =
+                    was != discharged &&
+                    module.faults().retentionTime(base + i, bit, 20.0) <
+                        off;
+                leaked += leaks;
+                ASSERT_EQ(((now >> bit) & 1) != 0,
+                          leaks ? discharged : was)
+                    << "addr " << base + i << " bit " << bit;
+            }
+        }
+    }
+    EXPECT_GT(leaked, pageSize);
+    EXPECT_EQ(module.stats().value("decayedBits"), leaked);
 }
 
-TEST(Module, ReenablingRefreshResetsClock)
+TEST(Module, PowerOffsDoNotAccumulate)
 {
     DramModule module(smallConfig());
-    module.writeByte(0, 0xff);
-    module.setRefreshEnabled(false);
-    module.advance(50 * milliseconds); // under the retention floor
-    module.setRefreshEnabled(true);
-    module.setRefreshEnabled(false);
-    module.advance(50 * milliseconds);
-    module.setRefreshEnabled(true);
-    // Two short unrefreshed windows do not add up to one long one.
-    EXPECT_EQ(module.readByte(0), 0xff);
+    for (unsigned i = 0; i < pageSize; ++i)
+        module.writeByte(i, 0xff);
+    // Each power-off is under the 128 ms retention floor; together
+    // they are over it, and a few percent of the cells would leak.
+    module.powerOff(100 * milliseconds);
+    module.powerOff(100 * milliseconds);
+    for (unsigned i = 0; i < pageSize; ++i)
+        ASSERT_EQ(module.readByte(i), 0xff) << "byte " << i;
+    EXPECT_EQ(module.stats().value("decayedBits"), 0u);
 }
 
 TEST(Module, RemapRequiresSameCellType)

@@ -76,14 +76,6 @@ TEST(CellProfiler, MostlyTrueLayout)
     EXPECT_EQ(anti, 2u); // one anti row per 16
 }
 
-TEST(CellProfiler, LeavesRefreshEnabled)
-{
-    DramModule module(profConfig());
-    CellTypeProfiler profiler(module);
-    profiler.classifyRow(0, 0);
-    EXPECT_TRUE(module.refreshEnabled());
-}
-
 TEST(RetentionProfiler, MeasurementMatchesFaultModel)
 {
     DramModule module(profConfig());
