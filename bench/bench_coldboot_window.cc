@@ -10,10 +10,12 @@
 
 #include <iomanip>
 #include <iostream>
+#include <vector>
 
 #include "common/rng.hh"
 #include "dram/module.hh"
 #include "ext/coldboot.hh"
+#include "profile/retention_profiler.hh"
 
 namespace {
 
@@ -49,6 +51,17 @@ constexpr Row kRows[] = {
     {-40.0, 600.0, kHalt, 42},    {-40.0, 3600.0, kProceed, 0},
 };
 
+dram::DramConfig
+moduleConfig()
+{
+    dram::DramConfig config;
+    config.capacity = 64 * MiB;
+    config.rowBytes = 128 * KiB;
+    config.banks = 1;
+    config.seed = 15;
+    return config;
+}
+
 const char *
 decisionName(ext::BootDecision decision)
 {
@@ -67,18 +80,17 @@ main()
               << "decision" << std::setw(20) << "secret bits alive"
               << std::setw(10) << "safe" << '\n';
 
+    // Retention is a function of the module seed alone, so one
+    // profile picks the canaries of every row's module.
+    dram::DramModule profiled(moduleConfig());
+    const std::vector<profile::CellRetention> canaries =
+        profile::RetentionProfiler(profiled).findCanaries(0, 64 * KiB,
+                                                          8);
+
     int status = 0;
     for (const Row &row : kRows) {
-        dram::DramConfig config;
-        config.capacity = 64 * MiB;
-        config.rowBytes = 128 * KiB;
-        config.banks = 1;
-        config.seed = 15;
-        dram::DramModule module(config);
-
-        ext::ColdBootGuard guard =
-            ext::ColdBootGuard::withProfiledCanaries(module, 0,
-                                                     64 * KiB, 8);
+        dram::DramModule module(moduleConfig());
+        ext::ColdBootGuard guard(module, canaries);
 
         // "Secrets": 4096 charged bits spread over a distant row.
         Rng rng(3);
