@@ -268,14 +268,20 @@ checkMachineConfig(const MachineConfig &config)
                 "a power of two, a multiple of rowBytes and at most "
                 "half of memBytes",
                 config.ptpBytes);
-    // The pattern builder draws below each of these bounds.
+    // The pattern builder draws below the first four bounds; with any
+    // of the last four at 0 a search hammers nothing and reports a
+    // clean cell.
     const fuzz::FuzzParams &fuzz = config.fuzz;
     for (const auto &[key, bound] :
          {std::pair{"fuzz.maxPeriod", fuzz.builder.maxPeriod},
           std::pair{"fuzz.maxSlots", fuzz.builder.maxSlots},
           std::pair{"fuzz.maxEntries", fuzz.builder.maxEntries},
           std::pair{"fuzz.actsPerInterval",
-                    fuzz.timing.actsPerInterval}})
+                    fuzz.timing.actsPerInterval},
+          std::pair{"fuzz.refsPerWindow", fuzz.timing.refsPerWindow},
+          std::pair{"fuzz.windows", fuzz.windows},
+          std::pair{"fuzz.population", fuzz.population},
+          std::pair{"fuzz.generations", fuzz.generations}})
         requireSize(bound > 0, key, "at least 1", bound);
 }
 

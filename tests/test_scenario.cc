@@ -248,6 +248,11 @@ TEST(Scenario, ManifestSchemaViolationsThrow)
         {"maxSlots", R"({"fuzz": {"maxSlots": 0}})"},
         {"maxEntries", R"({"fuzz": {"maxEntries": 0}})"},
         {"actsPerInterval", R"({"fuzz": {"actsPerInterval": 0}})"},
+        // A search with no REF, window, candidate or generation.
+        {"refsPerWindow", R"({"fuzz": {"refsPerWindow": 0}})"},
+        {"windows", R"({"fuzz": {"windows": 0}})"},
+        {"population", R"({"fuzz": {"population": 0}})"},
+        {"generations", R"({"fuzz": {"generations": 0}})"},
     };
     for (const auto &[key, base] : badSizes) {
         Json manifest = Json::parse(
