@@ -132,8 +132,7 @@ Kernel::Kernel(const KernelConfig &config) : config_(config)
 
     phys_ = std::make_unique<mm::PhysicalMemory>(*dram_,
                                                  std::move(specs));
-    mmu_ = std::make_unique<paging::Mmu>(*dram_, config_.tlbEntries,
-                                         *config_.arch);
+    mmu_ = std::make_unique<paging::Mmu>(*dram_, *config_.arch);
 
     // Plant the kernel secret the attacks try to reach.
     auto secret = phys_->allocate(dataFlags(true));

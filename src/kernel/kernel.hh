@@ -44,7 +44,6 @@ struct KernelConfig
     dram::DramConfig dram;
     AllocPolicy policy = AllocPolicy::Standard;
     cta::CtaConfig cta;      //!< used when policy == Cta
-    std::size_t tlbEntries = 64;
 
     /**
      * Paging architecture the kernel boots with.  Points at one of

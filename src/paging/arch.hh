@@ -230,18 +230,6 @@ struct Arch
     }
     /** @} */
 
-    /**
-     * Address-space tag mixed into TLB keys so roots from different
-     * architectures can never alias.  Zero for the historical x86-64
-     * descriptor (keeping its set-index function bit-identical).
-     */
-    constexpr std::uint64_t tag() const
-    {
-        return isa == Isa::X86_64
-                   ? 0
-                   : (std::uint64_t(levels) << 8) | granuleShift;
-    }
-
     bool operator==(const Arch &other) const
     {
         return isa == other.isa && levels == other.levels &&

@@ -18,9 +18,11 @@ namespace ctamem::paging {
 class Mmu
 {
   public:
-    explicit Mmu(dram::DramModule &module, std::size_t tlb_entries = 64,
-                 const Arch &arch = kX86_64)
-        : walker_(module, arch), tlb_(tlb_entries, 8, arch.granuleShift)
+    /** Entries of the TLB, 8-way set-associative. */
+    static constexpr std::size_t kTlbEntries = 64;
+
+    explicit Mmu(dram::DramModule &module, const Arch &arch = kX86_64)
+        : walker_(module, arch), tlb_(kTlbEntries, 8, arch.granuleShift)
     {}
 
     /**
@@ -32,8 +34,7 @@ class Mmu
               Privilege privilege)
     {
         const Arch &arch = walker_.arch();
-        if (const TlbEntry *hit =
-                tlb_.lookup(root, vaddr, arch.tag())) {
+        if (const TlbEntry *hit = tlb_.lookup(root, vaddr)) {
             WalkResult result;
             result.writable = hit->writable;
             result.user = hit->user;
@@ -50,8 +51,7 @@ class Mmu
         if (result.ok() && result.leafLevel == 1) {
             tlb_.insert(TlbEntry{root, vaddr >> arch.granuleShift,
                                  result.phys & ~arch.granuleMask(),
-                                 result.writable, result.user,
-                                 arch.tag()});
+                                 result.writable, result.user});
         }
         return result;
     }

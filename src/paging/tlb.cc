@@ -26,16 +26,15 @@ Tlb::Tlb(std::size_t capacity, std::size_t ways, unsigned page_shift)
 }
 
 const TlbEntry *
-Tlb::lookup(Pfn root, VAddr vaddr, std::uint64_t arch_tag)
+Tlb::lookup(Pfn root, VAddr vaddr)
 {
     const VAddr vpn = vaddr >> pageShift_;
-    const std::size_t set = setIndex(root, vpn, arch_tag);
+    const std::size_t set = setIndex(root, vpn);
     Slot *base = slots_.data() + set * ways_;
     for (std::size_t way = 0; way < ways_; ++way) {
         Slot &slot = base[way];
         if (slot.valid && slot.entry.vpn == vpn &&
-            slot.entry.root == root &&
-            slot.entry.archTag == arch_tag) {
+            slot.entry.root == root) {
             slot.stamp = ++clocks_[set];
             stats_.at(hitsId_).increment();
             return &slot.entry;
@@ -48,8 +47,7 @@ Tlb::lookup(Pfn root, VAddr vaddr, std::uint64_t arch_tag)
 void
 Tlb::insert(const TlbEntry &entry)
 {
-    const std::size_t set =
-        setIndex(entry.root, entry.vpn, entry.archTag);
+    const std::size_t set = setIndex(entry.root, entry.vpn);
     Slot *base = slots_.data() + set * ways_;
     Slot *victim = nullptr;
     for (std::size_t way = 0; way < ways_; ++way) {
@@ -60,8 +58,7 @@ Tlb::insert(const TlbEntry &entry)
             continue;
         }
         if (slot.entry.vpn == entry.vpn &&
-            slot.entry.root == entry.root &&
-            slot.entry.archTag == entry.archTag) {
+            slot.entry.root == entry.root) {
             // Refresh in place.
             slot.entry = entry;
             slot.stamp = ++clocks_[set];

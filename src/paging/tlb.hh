@@ -15,11 +15,10 @@
  * associative LRU set — exactly the old list-based model, which is
  * what the small TLBs in the tests exercise.
  *
- * Entries are keyed by (archTag, root, vpn): the root is the
+ * Entries are keyed by (root, vpn): the root is the
  * architecture-neutral address-space identifier (the root table
- * frame), and the tag keeps translations minted under different
- * paging architectures from ever aliasing, even if two arches hand
- * out the same root frame number.
+ * frame).  Each MMU owns its TLB and translates for one paging
+ * architecture, so entries of different architectures never meet.
  */
 
 #ifndef CTAMEM_PAGING_TLB_HH
@@ -42,8 +41,6 @@ struct TlbEntry
     Addr physBase;  //!< physical base of the translation granule
     bool writable;
     bool user;
-    /** Arch::tag() of the minting architecture (0 = x86-64). */
-    std::uint64_t archTag = 0;
 };
 
 /** Set-associative LRU TLB. */
@@ -62,9 +59,8 @@ class Tlb
     explicit Tlb(std::size_t capacity = 64, std::size_t ways = 8,
                  unsigned page_shift = pageShift);
 
-    /** Look up (tag, root, vaddr); nullptr on miss. */
-    const TlbEntry *lookup(Pfn root, VAddr vaddr,
-                           std::uint64_t arch_tag = 0);
+    /** Look up (root, vaddr); nullptr on miss. */
+    const TlbEntry *lookup(Pfn root, VAddr vaddr);
 
     /** Insert a translation (evicting the set's LRU when full). */
     void insert(const TlbEntry &entry);
@@ -91,20 +87,13 @@ class Tlb
         bool valid = false;
     };
 
-    static std::uint64_t
-    splitKey(Pfn root, std::uint64_t arch_tag)
-    {
-        // arch_tag is 0 for the historical x86-64 descriptor, so its
-        // set-index function is bit-identical to the tag-free one.
-        return (root ^ arch_tag) * 0x9e3779b97f4a7c15ULL;
-    }
-
-    /** Set index: low VPN bits, offset per (arch, address space). */
+    /** Set index: low VPN bits, offset per address space. */
     std::size_t
-    setIndex(Pfn root, VAddr vpn, std::uint64_t arch_tag) const
+    setIndex(Pfn root, VAddr vpn) const
     {
-        return static_cast<std::size_t>(
-            (vpn ^ (splitKey(root, arch_tag) >> 40)) & (sets_ - 1));
+        const std::uint64_t split = root * 0x9e3779b97f4a7c15ULL;
+        return static_cast<std::size_t>((vpn ^ (split >> 40)) &
+                                        (sets_ - 1));
     }
 
     std::size_t ways_;

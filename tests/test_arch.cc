@@ -17,7 +17,6 @@
 #include "dram/module.hh"
 #include "paging/address_space.hh"
 #include "paging/arch.hh"
-#include "paging/tlb.hh"
 #include "paging/walker.hh"
 
 namespace ctamem::paging {
@@ -43,7 +42,6 @@ TEST(Arch, X86DescriptorPinsTheHistoricalLayout)
     EXPECT_EQ(kX86_64.entriesPerTable(), 512u);
     EXPECT_EQ(kX86_64.tableOrder(), 0u);
     EXPECT_EQ(kX86_64.granuleFrames(), 1u);
-    EXPECT_EQ(kX86_64.tag(), 0u);
 
     // Encodings: P|R/W|U/S|NX around the PFN at bit 12, plus PS for a
     // 2 MiB leaf; table entries are P|R/W|U/S, A and D left clear.
@@ -298,42 +296,6 @@ TEST(Arch, LargeMappingsAgreeAcrossGranules)
         EXPECT_EQ(a.leafLevel, 2u);
         EXPECT_EQ(b.leafLevel, 2u);
     }
-}
-
-TEST(Arch, TlbEntriesNeverAliasAcrossArchRoots)
-{
-    // Two address spaces that happen to share a root frame number but
-    // come from different architectures must not see each other's
-    // translations — the archTag keys them apart.
-    Tlb tlb(64, 8);
-    const Pfn root = addrToPfn(1 * MiB);
-    const VAddr vaddr = 0x7f0000123000ULL;
-
-    TlbEntry entry;
-    entry.root = root;
-    entry.vpn = vaddr >> pageShift;
-    entry.physBase = 32 * MiB;
-    entry.writable = true;
-    entry.user = true;
-    entry.archTag = kAArch64_4K.tag();
-    tlb.insert(entry);
-
-    // Same (root, vaddr) under the x86 tag: miss.
-    EXPECT_EQ(tlb.lookup(root, vaddr, kX86_64.tag()), nullptr);
-    // And under a different ARM granule's tag: miss.
-    EXPECT_EQ(tlb.lookup(root, vaddr, kAArch64_16K.tag()), nullptr);
-    // The minting tag hits.
-    const TlbEntry *hit = tlb.lookup(root, vaddr, kAArch64_4K.tag());
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->physBase, 32 * MiB);
-
-    // Distinct tags for every backend pair.
-    for (const Arch *a : kAllArches)
-        for (const Arch *b : kAllArches)
-            if (a != b) {
-                EXPECT_NE(a->tag(), b->tag())
-                    << a->name << " vs " << b->name;
-            }
 }
 
 } // namespace
